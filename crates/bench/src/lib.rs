@@ -539,7 +539,7 @@ fn write_interval_metrics<S: InstructionStream>(
 /// captured under a different design, configuration, workload, or warmup
 /// boundary — restoring it anyway would silently skew the measured
 /// region, so a mismatch is a fatal configuration error, reported with
-/// the precise [`CbsError`](cobra_uarch::CbsError).
+/// the precise [`ContainerError`](cobra_uarch::ContainerError).
 fn restore_into<S: InstructionStream>(
     design: &Design,
     cfg: &CoreConfig,

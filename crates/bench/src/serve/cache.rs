@@ -21,7 +21,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cobra_uarch::{
-    read_result, save_result, CbrMeta, CbsMeta, Core, InstructionStream, PerfReport,
+    best_resume_checkpoint, read_result, save_result, CbrMeta, CbsMeta, Core, InstructionStream,
+    PerfReport,
 };
 
 /// Monotonic counters describing cache behaviour since the server
@@ -83,10 +84,20 @@ impl WarmCache {
         })
     }
 
-    /// The checkpoint subdirectory, for
-    /// [`cobra_uarch::best_resume_checkpoint`] scans.
-    pub fn ckpt_dir(&self) -> &Path {
-        &self.ckpt
+    /// Tier-2 lookup: the checkpoint that best shortcuts a run expecting
+    /// `meta` (see [`best_resume_checkpoint`]), if any. Checkpoints whose
+    /// header fails validation are counted in `stats.rejected` and
+    /// skipped; valid checkpoints of other runs are skipped silently.
+    pub fn resume_checkpoint(&self, meta: &CbsMeta) -> Option<(PathBuf, CbsMeta)> {
+        let (best, invalid) = best_resume_checkpoint(&self.ckpt, meta);
+        for (path, e) in invalid {
+            self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            eprintln!(
+                "[cobra-serve] ignoring invalid checkpoint {}: {e}",
+                path.display()
+            );
+        }
+        best
     }
 
     fn result_path(&self, meta: &CbrMeta) -> PathBuf {

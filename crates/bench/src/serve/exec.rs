@@ -16,8 +16,8 @@ use std::time::Instant;
 
 use cobra_core::composer::Design;
 use cobra_uarch::{
-    best_resume_checkpoint, config_hash, restore_checkpoint_resume, CbrMeta, CbsMeta, Core,
-    CoreConfig, PerfReport,
+    config_hash, restore_checkpoint_resume, CbrMeta, CbsMeta, ContainerError, Core, CoreConfig,
+    PerfReport,
 };
 use cobra_workloads::ProgramSpec;
 
@@ -115,9 +115,9 @@ pub fn execute_job(
     // overwritten, so rebuild it fresh and fall through to a cold run.
     let mut disposition = CacheDisposition::Miss;
     if let Some(c) = cache {
-        if let Some((path, _meta)) = best_resume_checkpoint(c.ckpt_dir(), &boundary_meta) {
+        if let Some((path, _meta)) = c.resume_checkpoint(&boundary_meta) {
             let restored = std::fs::File::open(&path)
-                .map_err(cobra_uarch::CbsError::from)
+                .map_err(ContainerError::from)
                 .and_then(|f| {
                     restore_checkpoint_resume(BufReader::new(f), &boundary_meta, &mut core)
                 });

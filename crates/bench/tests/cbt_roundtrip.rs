@@ -9,6 +9,7 @@
 
 use cobra_bench::capture_len;
 use cobra_core::designs;
+use cobra_uarch::ContainerError;
 use cobra_uarch::{Core, CoreConfig, InstructionStream};
 use cobra_workloads::{capture_stream, spec17, CbtError, TraceProgram, SPEC17_NAMES};
 
@@ -121,7 +122,7 @@ fn corruption_errors_are_precise() {
     c[0] = b'X';
     assert!(matches!(
         TraceProgram::from_bytes(c),
-        Err(CbtError::BadMagic)
+        Err(CbtError::Container(ContainerError::BadMagic { .. }))
     ));
 
     // Future version number (bytes 8..10, little-endian u16) — also
@@ -132,7 +133,10 @@ fn corruption_errors_are_precise() {
     c[9] = 0x7F;
     assert!(matches!(
         TraceProgram::from_bytes(c),
-        Err(CbtError::UnsupportedVersion(0x7FFF))
+        Err(CbtError::Container(ContainerError::UnsupportedVersion {
+            got: 0x7FFF,
+            ..
+        }))
     ));
 
     // Payload corruption inside the first block: named by block number.
@@ -146,7 +150,7 @@ fn corruption_errors_are_precise() {
             CbtError::BlockChecksum {
                 stored, computed, ..
             }
-            | CbtError::HeaderChecksum { stored, computed }
+            | CbtError::Container(ContainerError::HeaderChecksum { stored, computed })
             | CbtError::StaticChecksum { stored, computed }
             | CbtError::FooterChecksum { stored, computed },
         ) => assert_ne!(stored, computed),

@@ -13,6 +13,7 @@ use std::sync::atomic::Ordering;
 
 use cobra_bench::serve::cache::WarmCache;
 use cobra_bench::serve::exec::{execute_job, warmup_for, CacheDisposition};
+use cobra_bench::serve::protocol::report_json;
 use cobra_bench::workload_by_name;
 use cobra_core::composer::Design;
 use cobra_uarch::{config_hash, CbrMeta, CoreConfig};
@@ -192,6 +193,63 @@ fn bit_flipped_entries_are_rejected_at_every_byte() {
         full.len() as u64,
         "every poisoned lookup is counted"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Tier-2 corruption is counted like tier-1 corruption: a stored `.cbs`
+/// cut inside its header is rejected (not silently skipped), and the job
+/// degrades to a cold run whose report is byte-identical to a direct run.
+#[test]
+fn checkpoint_with_corrupt_header_is_counted_as_rejected() {
+    let dir = scratch("ckpt-header");
+    let cache = WarmCache::open(&dir).unwrap();
+    let (_, d1) = run(&cache, INSTS);
+    assert_eq!(d1, CacheDisposition::Miss);
+    let mut ckpts: Vec<PathBuf> = std::fs::read_dir(dir.join("ckpt"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(ckpts.len(), 1);
+    let ckpt = ckpts.remove(0);
+    let full = std::fs::read(&ckpt).unwrap();
+    // 20 bytes: past the 12-byte prefix, inside the design/topology names.
+    std::fs::write(&ckpt, &full[..20]).unwrap();
+
+    let before = cache.stats.rejected.load(Ordering::Relaxed);
+    let (report, d2) = run(&cache, INSTS * 3);
+    assert_eq!(
+        d2,
+        CacheDisposition::Miss,
+        "a damaged checkpoint never warms"
+    );
+    assert!(
+        cache.stats.rejected.load(Ordering::Relaxed) > before,
+        "the header-invalid checkpoint is counted in stats.rejected"
+    );
+    let d = design();
+    let spec = workload_by_name("gcc").unwrap();
+    let direct = execute_job(&d, CoreConfig::boom_4wide(), &spec, INSTS * 3, None, None);
+    assert_eq!(report_json(&report), report_json(&direct.report));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A raw-topology job names its design after the topology text, so the
+/// text can exceed the containers' 4096-byte string cap. Such an entry is
+/// refused at write time instead of being stored and rejected forever.
+#[test]
+fn oversized_identity_is_never_stored() {
+    let dir = scratch("oversized");
+    let cache = WarmCache::open(&dir).unwrap();
+    let d = design();
+    let spec = workload_by_name("gcc").unwrap();
+    let direct = execute_job(&d, CoreConfig::boom_4wide(), &spec, INSTS, None, None);
+    let mut meta = meta_for(&d, &CoreConfig::boom_4wide(), "gcc", INSTS);
+    meta.topology = "B".repeat(4097);
+    cache.store_result(&meta, &direct.report);
+    assert_eq!(cache.stats.stores.load(Ordering::Relaxed), 0);
+    let left: Vec<_> = std::fs::read_dir(dir.join("results")).unwrap().collect();
+    assert!(left.is_empty(), "no entry and no temporary file remain");
+    assert!(cache.lookup_result(&meta).is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

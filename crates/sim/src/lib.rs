@@ -28,6 +28,9 @@
 //! * [`varint`] — LEB128/ZigZag integer coding and [`Crc32c`] checksums,
 //!   the serialization primitives under the COBRA Binary Trace format
 //!   (`cobra_workloads::cbt`).
+//! * [`container`] — the header, frame, caps and [`ContainerError`]
+//!   shared by the four binary containers (`.cbt`, `.cbs`, `.cbm`,
+//!   `.cbr`).
 //! * [`Snapshot`] with [`StateWriter`]/[`StateReader`] — structured
 //!   full-state serialization for warm-state checkpoints (the COBRA
 //!   Binary Snapshot format, `cobra_uarch::checkpoint`).
@@ -41,6 +44,7 @@
 pub mod bits;
 mod checksum;
 mod circular;
+pub mod container;
 mod counter;
 mod fifo;
 mod folded;
@@ -53,6 +57,7 @@ pub mod varint;
 
 pub use checksum::{crc32c, Crc32c};
 pub use circular::CircularBuffer;
+pub use container::ContainerError;
 pub use counter::{CounterState, SaturatingCounter};
 pub use fifo::Fifo;
 pub use folded::FoldedHistory;

@@ -22,207 +22,27 @@
 //!
 //! [`docs/CHECKPOINT_FORMAT.md`]: https://github.com/cobra-bp/cobra-rs/blob/main/docs/CHECKPOINT_FORMAT.md
 //!
-//! Fixed-width integers are little-endian; variable-length values use
-//! LEB128 ([`cobra_sim::varint`]). The header and the state payload are
-//! independently protected by CRC-32C, and every declared length is
-//! checked against a hard cap before allocation, mirroring the `.cbt`
-//! trace container's hostile-input discipline.
+//! The header, frame, size caps and errors are the shared container
+//! framing ([`cobra_sim::container`]); this module adds only the identity
+//! fields and the state payload.
 
 use crate::core::Core;
 use crate::program::InstructionStream;
 use crate::CoreConfig;
 use cobra_core::composer::Design;
-use cobra_sim::{varint, SnapError, StateReader, StateWriter};
-use std::fmt;
+use cobra_sim::container::{self, ContainerError, Format, HeaderReader, HeaderWriter};
+use cobra_sim::{StateReader, StateWriter};
 use std::io::{Read, Write};
+use std::path::{Path, PathBuf};
 
-/// File magic, the first 8 bytes of every `.cbs` file.
-pub const MAGIC: [u8; 8] = *b"COBRACBS";
-/// Trailing footer magic, the last 4 bytes of every `.cbs` file.
-pub const FOOTER_MAGIC: [u8; 4] = *b"CBSX";
-/// The (only) format version this implementation reads and writes.
-pub const VERSION: u16 = 1;
-/// Reader guard: maximum accepted state-payload size.
-pub const MAX_PAYLOAD_BYTES: u64 = 1 << 26;
-/// Reader guard: maximum accepted length for any header string.
-pub const MAX_NAME_BYTES: u64 = 4096;
-
-/// Everything that can go wrong reading or writing a `.cbs` file. Decode
-/// errors are precise: they name the structure or identity field at
-/// fault, so a stale or corrupted checkpoint is diagnosable — and is
-/// never silently restored into the wrong experiment.
-#[derive(Debug)]
-pub enum CbsError {
-    /// An underlying I/O failure.
-    Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file does not end with [`FOOTER_MAGIC`].
-    BadFooterMagic,
-    /// The file's version is not supported by this implementation.
-    UnsupportedVersion(u16),
-    /// The header flags word has bits this implementation does not know.
-    UnsupportedFlags(u16),
-    /// The file ended while reading the named structure.
-    Truncated {
-        /// Which structure was being read.
-        what: &'static str,
-    },
-    /// A declared size exceeds the format's hard limits — either corrupt
-    /// or hostile; never allocated.
-    LimitExceeded {
-        /// Which declared quantity is over limit.
-        what: &'static str,
-        /// The declared value.
-        got: u64,
-        /// The maximum this reader accepts.
-        max: u64,
-    },
-    /// The header CRC-32C does not match the header bytes.
-    HeaderChecksum {
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// The state payload's CRC-32C does not match its bytes.
-    PayloadChecksum {
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// A varint field is truncated or over-long.
-    BadVarint {
-        /// Which structure was being read.
-        what: &'static str,
-    },
-    /// A header string is not valid UTF-8.
-    BadName,
-    /// Bytes remain after the footer magic.
-    TrailingBytes {
-        /// How many bytes follow the footer.
-        count: u64,
-    },
-    /// The checkpoint was captured under a different design name.
-    DesignMismatch {
-        /// Design name stored in the file.
-        stored: String,
-        /// Design name of the core being restored.
-        expected: String,
-    },
-    /// The checkpoint was captured under a different topology string.
-    TopologyMismatch {
-        /// Topology stored in the file.
-        stored: String,
-        /// Topology of the core being restored.
-        expected: String,
-    },
-    /// The checkpoint was captured under a different core/predictor
-    /// configuration (see [`config_hash`]).
-    ConfigHashMismatch {
-        /// Configuration hash stored in the file.
-        stored: u64,
-        /// Configuration hash of the core being restored.
-        expected: u64,
-    },
-    /// The checkpoint was captured running a different workload.
-    WorkloadMismatch {
-        /// Workload name stored in the file.
-        stored: String,
-        /// Workload of the run being restored.
-        expected: String,
-    },
-    /// The checkpoint was captured at a different warmup boundary.
-    WarmupMismatch {
-        /// Warmup instruction count stored in the file.
-        stored: u64,
-        /// Warmup instruction count the restoring run expects.
-        expected: u64,
-    },
-    /// The state payload failed to decode into the core.
-    State(SnapError),
-}
-
-impl fmt::Display for CbsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "i/o error: {e}"),
-            Self::BadMagic => write!(f, "not a CBS file (bad magic; expected `COBRACBS`)"),
-            Self::BadFooterMagic => {
-                write!(f, "bad footer magic (file truncated or not finalized)")
-            }
-            Self::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported CBS version {v} (this reader supports {VERSION})"
-                )
-            }
-            Self::UnsupportedFlags(bits) => {
-                write!(
-                    f,
-                    "unsupported header flags {bits:#06x} (reserved bits set)"
-                )
-            }
-            Self::Truncated { what } => write!(f, "file truncated while reading {what}"),
-            Self::LimitExceeded { what, got, max } => {
-                write!(f, "{what} = {got} exceeds the format limit of {max}")
-            }
-            Self::HeaderChecksum { stored, computed } => write!(
-                f,
-                "header checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            Self::PayloadChecksum { stored, computed } => write!(
-                f,
-                "state-payload checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            Self::BadVarint { what } => write!(f, "truncated or over-long varint in {what}"),
-            Self::BadName => write!(f, "header string is not valid UTF-8"),
-            Self::TrailingBytes { count } => {
-                write!(f, "{count} trailing bytes after the footer magic")
-            }
-            Self::DesignMismatch { stored, expected } => {
-                write!(f, "checkpoint is for design `{stored}`, not `{expected}`")
-            }
-            Self::TopologyMismatch { stored, expected } => {
-                write!(f, "checkpoint is for topology `{stored}`, not `{expected}`")
-            }
-            Self::ConfigHashMismatch { stored, expected } => write!(
-                f,
-                "checkpoint configuration hash {stored:#018x} does not match {expected:#018x}"
-            ),
-            Self::WorkloadMismatch { stored, expected } => {
-                write!(f, "checkpoint is for workload `{stored}`, not `{expected}`")
-            }
-            Self::WarmupMismatch { stored, expected } => write!(
-                f,
-                "checkpoint was taken at {stored} warmup instructions, not {expected}"
-            ),
-            Self::State(e) => write!(f, "state payload: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CbsError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CbsError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
-    }
-}
-
-impl From<SnapError> for CbsError {
-    fn from(e: SnapError) -> Self {
-        Self::State(e)
-    }
-}
+/// The `.cbs` framing: magic `COBRACBS`, footer `CBSX`, version 1, state
+/// payload at most 64 MiB.
+pub const FORMAT: Format = Format {
+    magic: *b"COBRACBS",
+    footer_magic: *b"CBSX",
+    version: 1,
+    max_payload: 1 << 26,
+};
 
 /// The identity a checkpoint is bound to: which design, configuration,
 /// and workload produced it, and at what warmup boundary.
@@ -258,6 +78,24 @@ impl CbsMeta {
             warmup_insts,
         }
     }
+
+    /// Checks `self` (read from a file) against the identity a caller
+    /// `expected`, field by field in header order. With `allow_earlier`,
+    /// a boundary before `expected.warmup_insts` also passes.
+    fn check(&self, expected: &CbsMeta, allow_earlier: bool) -> Result<(), ContainerError> {
+        container::same("design", &self.design, &expected.design)?;
+        container::same("topology", &self.topology, &expected.topology)?;
+        container::same(
+            "config hash",
+            format!("{:#018x}", self.config_hash),
+            format!("{:#018x}", expected.config_hash),
+        )?;
+        container::same("workload", &self.workload, &expected.workload)?;
+        if allow_earlier && self.warmup_insts <= expected.warmup_insts {
+            return Ok(());
+        }
+        container::same("warmup boundary", self.warmup_insts, expected.warmup_insts)
+    }
 }
 
 /// FNV-1a 64-bit hash over everything that shapes simulated state: the
@@ -292,40 +130,22 @@ pub fn config_hash(design: &Design, cfg: &CoreConfig) -> u64 {
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the underlying writer.
+/// [`ContainerError::LimitExceeded`] before writing anything if a header
+/// string or the state payload is over its cap; I/O errors.
 pub fn save_checkpoint<W: Write, S: InstructionStream>(
-    mut w: W,
+    w: W,
     meta: &CbsMeta,
     core: &Core<S>,
-) -> Result<u64, CbsError> {
-    let mut header = Vec::with_capacity(64);
-    header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&VERSION.to_le_bytes());
-    header.extend_from_slice(&0u16.to_le_bytes()); // flags
-    write_str(&mut header, &meta.design);
-    write_str(&mut header, &meta.topology);
-    header.extend_from_slice(&meta.config_hash.to_le_bytes());
-    write_str(&mut header, &meta.workload);
-    varint::write_u64(&mut header, meta.warmup_insts);
-    let header_crc = cobra_sim::crc32c(&header);
-
+) -> Result<u64, ContainerError> {
+    let mut h = HeaderWriter::new(&FORMAT);
+    h.str("header design name", &meta.design)?;
+    h.str("header topology", &meta.topology)?;
+    h.u64(meta.config_hash);
+    h.str("header workload name", &meta.workload)?;
+    h.varint(meta.warmup_insts);
     let mut sw = StateWriter::new();
     core.save_state(&mut sw);
-    let payload = sw.finish();
-    let payload_len = payload.len() as u32;
-    let mut crc = cobra_sim::Crc32c::new();
-    crc.update(&payload_len.to_le_bytes());
-    crc.update(&payload);
-    let payload_crc = crc.finish();
-
-    w.write_all(&header)?;
-    w.write_all(&header_crc.to_le_bytes())?;
-    w.write_all(&payload_len.to_le_bytes())?;
-    w.write_all(&payload)?;
-    w.write_all(&payload_crc.to_le_bytes())?;
-    w.write_all(&FOOTER_MAGIC)?;
-    w.flush()?;
-    Ok(header.len() as u64 + 4 + 4 + u64::from(payload_len) + 4 + 4)
+    container::write_framed(w, &FORMAT, h, &sw.finish())
 }
 
 /// Parses and checksums a `.cbs` header, returning the identity record
@@ -334,8 +154,8 @@ pub fn save_checkpoint<W: Write, S: InstructionStream>(
 ///
 /// # Errors
 ///
-/// Any [`CbsError`] describing the first malformed header structure.
-pub fn read_meta<R: Read>(mut r: R) -> Result<CbsMeta, CbsError> {
+/// Any [`ContainerError`] describing the first malformed header structure.
+pub fn read_meta<R: Read>(mut r: R) -> Result<CbsMeta, ContainerError> {
     read_header(&mut r)
 }
 
@@ -353,14 +173,16 @@ pub fn read_meta<R: Read>(mut r: R) -> Result<CbsMeta, CbsError> {
 ///
 /// # Errors
 ///
-/// Any [`CbsError`]. If the error is [`CbsError::State`], the core may
-/// be partially overwritten and must be discarded; identity and checksum
-/// errors are detected before any state is written.
+/// Any [`ContainerError`]; [`ContainerError::IdentityMismatch`] names the
+/// first identity field that differs. If the error is
+/// [`ContainerError::State`], the core may be partially overwritten and
+/// must be discarded; identity and checksum errors are detected before
+/// any state is written.
 pub fn restore_checkpoint<R: Read, S: InstructionStream>(
     r: R,
     expected: &CbsMeta,
     core: &mut Core<S>,
-) -> Result<(), CbsError> {
+) -> Result<(), ContainerError> {
     restore_inner(r, expected, core, false).map(|_| ())
 }
 
@@ -378,49 +200,55 @@ pub fn restore_checkpoint<R: Read, S: InstructionStream>(
 ///
 /// # Errors
 ///
-/// Any [`CbsError`]; [`CbsError::WarmupMismatch`] when the stored
-/// boundary is *beyond* `expected.warmup_insts` (the overshoot cannot be
-/// unwound).
+/// Any [`ContainerError`]; an `IdentityMismatch` on `"warmup boundary"`
+/// when the stored boundary is *beyond* `expected.warmup_insts` (the
+/// overshoot cannot be unwound).
 pub fn restore_checkpoint_resume<R: Read, S: InstructionStream>(
     r: R,
     expected: &CbsMeta,
     core: &mut Core<S>,
-) -> Result<u64, CbsError> {
+) -> Result<u64, ContainerError> {
     restore_inner(r, expected, core, true)
 }
+
+/// A `.cbs` file in a scanned directory whose header could not be read.
+pub type InvalidCheckpoint = (PathBuf, ContainerError);
 
 /// Scans `dir` for the `.cbs` file that best shortcuts a run expecting
 /// `expected`: identical design, topology, configuration hash, and
 /// workload, captured at the largest warmup boundary not beyond
-/// `expected.warmup_insts`. Files that fail to open or parse are
-/// skipped, not fatal — a cache directory may hold foreign or damaged
-/// entries. Returns the path and its header, or `None`.
+/// `expected.warmup_insts`. Returns that path and its header, if any,
+/// plus every file whose header failed to open or validate — a cache
+/// directory may hold damaged entries, which are skipped but reported.
+/// Valid files of another identity are skipped silently.
 pub fn best_resume_checkpoint(
-    dir: &std::path::Path,
+    dir: &Path,
     expected: &CbsMeta,
-) -> Option<(std::path::PathBuf, CbsMeta)> {
-    let entries = std::fs::read_dir(dir).ok()?;
-    let mut paths: Vec<std::path::PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "cbs"))
-        .collect();
+) -> (Option<(PathBuf, CbsMeta)>, Vec<InvalidCheckpoint>) {
+    let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
+        Ok(entries) => entries
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|x| x == "cbs"))
+            .collect(),
+        Err(_) => return (None, Vec::new()),
+    };
     // Deterministic scan order, so ties resolve the same way every run.
     paths.sort();
-    let mut best: Option<(std::path::PathBuf, CbsMeta)> = None;
+    let mut best: Option<(PathBuf, CbsMeta)> = None;
+    let mut invalid = Vec::new();
     for path in paths {
-        let Ok(f) = std::fs::File::open(&path) else {
-            continue;
+        let meta = std::fs::File::open(&path)
+            .map_err(ContainerError::from)
+            .and_then(|f| read_meta(std::io::BufReader::new(f)));
+        let meta = match meta {
+            Ok(meta) => meta,
+            Err(e) => {
+                invalid.push((path, e));
+                continue;
+            }
         };
-        let Ok(meta) = read_meta(std::io::BufReader::new(f)) else {
-            continue;
-        };
-        if meta.design != expected.design
-            || meta.topology != expected.topology
-            || meta.config_hash != expected.config_hash
-            || meta.workload != expected.workload
-            || meta.warmup_insts > expected.warmup_insts
-        {
+        if meta.check(expected, true).is_err() {
             continue;
         }
         if best
@@ -430,7 +258,7 @@ pub fn best_resume_checkpoint(
             best = Some((path, meta));
         }
     }
-    best
+    (best, invalid)
 }
 
 fn restore_inner<R: Read, S: InstructionStream>(
@@ -438,80 +266,10 @@ fn restore_inner<R: Read, S: InstructionStream>(
     expected: &CbsMeta,
     core: &mut Core<S>,
     allow_earlier_warmup: bool,
-) -> Result<u64, CbsError> {
+) -> Result<u64, ContainerError> {
     let meta = read_header(&mut r)?;
-    if meta.design != expected.design {
-        return Err(CbsError::DesignMismatch {
-            stored: meta.design,
-            expected: expected.design.clone(),
-        });
-    }
-    if meta.topology != expected.topology {
-        return Err(CbsError::TopologyMismatch {
-            stored: meta.topology,
-            expected: expected.topology.clone(),
-        });
-    }
-    if meta.config_hash != expected.config_hash {
-        return Err(CbsError::ConfigHashMismatch {
-            stored: meta.config_hash,
-            expected: expected.config_hash,
-        });
-    }
-    if meta.workload != expected.workload {
-        return Err(CbsError::WorkloadMismatch {
-            stored: meta.workload,
-            expected: expected.workload.clone(),
-        });
-    }
-    let boundary_ok = if allow_earlier_warmup {
-        meta.warmup_insts <= expected.warmup_insts
-    } else {
-        meta.warmup_insts == expected.warmup_insts
-    };
-    if !boundary_ok {
-        return Err(CbsError::WarmupMismatch {
-            stored: meta.warmup_insts,
-            expected: expected.warmup_insts,
-        });
-    }
-
-    let payload_len = u64::from(read_u32(&mut r, "payload length")?);
-    if payload_len > MAX_PAYLOAD_BYTES {
-        return Err(CbsError::LimitExceeded {
-            what: "state-payload length",
-            got: payload_len,
-            max: MAX_PAYLOAD_BYTES,
-        });
-    }
-    let mut payload = vec![0u8; payload_len as usize];
-    read_exact(&mut r, &mut payload, "state payload")?;
-    let stored = read_u32(&mut r, "payload checksum")?;
-    let mut crc = cobra_sim::Crc32c::new();
-    crc.update(&(payload_len as u32).to_le_bytes());
-    crc.update(&payload);
-    let computed = crc.finish();
-    if stored != computed {
-        return Err(CbsError::PayloadChecksum { stored, computed });
-    }
-    let mut footer = [0u8; 4];
-    read_exact(&mut r, &mut footer, "footer magic")?;
-    if footer != FOOTER_MAGIC {
-        return Err(CbsError::BadFooterMagic);
-    }
-    let mut rest = [0u8; 64];
-    let mut trailing = 0u64;
-    loop {
-        let n = r.read(&mut rest)?;
-        if n == 0 {
-            break;
-        }
-        trailing += n as u64;
-    }
-    if trailing != 0 {
-        return Err(CbsError::TrailingBytes { count: trailing });
-    }
-
+    meta.check(expected, allow_earlier_warmup)?;
+    let payload = container::read_payload(&mut r, &FORMAT)?;
     let mut sr = StateReader::new(&payload);
     core.load_state(&mut sr)?;
     sr.finish()?;
@@ -519,97 +277,17 @@ fn restore_inner<R: Read, S: InstructionStream>(
 }
 
 /// Reads and checksums the header, returning the identity record.
-fn read_header<R: Read>(r: &mut R) -> Result<CbsMeta, CbsError> {
-    let mut fixed = [0u8; 12];
-    read_exact(r, &mut fixed, "header")?;
-    if fixed[..8] != MAGIC {
-        return Err(CbsError::BadMagic);
-    }
-    let version = u16::from_le_bytes([fixed[8], fixed[9]]);
-    if version != VERSION {
-        return Err(CbsError::UnsupportedVersion(version));
-    }
-    let flags = u16::from_le_bytes([fixed[10], fixed[11]]);
-    if flags != 0 {
-        return Err(CbsError::UnsupportedFlags(flags));
-    }
-    let mut raw = fixed.to_vec();
-    let design = read_str(r, &mut raw, "header design name")?;
-    let topology = read_str(r, &mut raw, "header topology")?;
-    let mut hash_bytes = [0u8; 8];
-    read_exact(r, &mut hash_bytes, "header config hash")?;
-    raw.extend_from_slice(&hash_bytes);
-    let config_hash = u64::from_le_bytes(hash_bytes);
-    let workload = read_str(r, &mut raw, "header workload name")?;
-    let warmup_insts = read_varint_stream(r, &mut raw, "header warmup boundary")?;
-    let stored = read_u32(r, "header checksum")?;
-    let computed = cobra_sim::crc32c(&raw);
-    if stored != computed {
-        return Err(CbsError::HeaderChecksum { stored, computed });
-    }
-    Ok(CbsMeta {
-        design,
-        topology,
-        config_hash,
-        workload,
-        warmup_insts,
-    })
-}
-
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    varint::write_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str<R: Read>(r: &mut R, raw: &mut Vec<u8>, what: &'static str) -> Result<String, CbsError> {
-    let len = read_varint_stream(r, raw, what)?;
-    if len > MAX_NAME_BYTES {
-        return Err(CbsError::LimitExceeded {
-            what,
-            got: len,
-            max: MAX_NAME_BYTES,
-        });
-    }
-    let mut buf = vec![0u8; len as usize];
-    read_exact(r, &mut buf, what)?;
-    raw.extend_from_slice(&buf);
-    String::from_utf8(buf).map_err(|_| CbsError::BadName)
-}
-
-fn read_exact<R: Read>(r: &mut R, buf: &mut [u8], what: &'static str) -> Result<(), CbsError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            CbsError::Truncated { what }
-        } else {
-            CbsError::Io(e)
-        }
-    })
-}
-
-fn read_u32<R: Read>(r: &mut R, what: &'static str) -> Result<u32, CbsError> {
-    let mut b = [0u8; 4];
-    read_exact(r, &mut b, what)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-/// Reads a varint byte-by-byte from a stream, appending the raw bytes to
-/// `raw` (for checksumming).
-fn read_varint_stream<R: Read>(
-    r: &mut R,
-    raw: &mut Vec<u8>,
-    what: &'static str,
-) -> Result<u64, CbsError> {
-    let start = raw.len();
-    for _ in 0..varint::MAX_VARINT_LEN {
-        let mut b = [0u8; 1];
-        read_exact(r, &mut b, what)?;
-        raw.push(b[0]);
-        if b[0] & 0x80 == 0 {
-            let mut pos = 0;
-            return varint::read_u64(&raw[start..], &mut pos).ok_or(CbsError::BadVarint { what });
-        }
-    }
-    Err(CbsError::BadVarint { what })
+fn read_header<R: Read>(r: &mut R) -> Result<CbsMeta, ContainerError> {
+    let mut h = HeaderReader::open(r, &FORMAT)?;
+    let meta = CbsMeta {
+        design: h.str("header design name")?,
+        topology: h.str("header topology")?,
+        config_hash: h.u64("header config hash")?,
+        workload: h.str("header workload name")?,
+        warmup_insts: h.varint("header warmup boundary")?,
+    };
+    h.finish()?;
+    Ok(meta)
 }
 
 #[cfg(test)]
@@ -745,7 +423,10 @@ mod tests {
         let mut core = fresh_core(cfg);
         assert!(matches!(
             restore_checkpoint_resume(&over[..], &expected, &mut core),
-            Err(CbsError::WarmupMismatch { .. })
+            Err(ContainerError::IdentityMismatch {
+                field: "warmup boundary",
+                ..
+            })
         ));
     }
 
@@ -771,14 +452,17 @@ mod tests {
 
         // Boundary 2_000: the 1_500 capture is the best shortcut (3_000
         // overshoots, 500 is dominated).
-        let (path, m) = best_resume_checkpoint(&dir, &meta(&cfg, 2_000)).unwrap();
+        let (best, invalid) = best_resume_checkpoint(&dir, &meta(&cfg, 2_000));
+        let (path, m) = best.unwrap();
+        assert_eq!(invalid.len(), 1, "only the damaged file is reported");
+        assert!(invalid[0].0.ends_with("damaged.cbs"));
         assert_eq!(m.warmup_insts, 1_500);
         assert!(path.ends_with("w1500.cbs"));
         // Boundary 3_000: the exact capture wins.
-        let (_, m) = best_resume_checkpoint(&dir, &meta(&cfg, 3_000)).unwrap();
+        let (_, m) = best_resume_checkpoint(&dir, &meta(&cfg, 3_000)).0.unwrap();
         assert_eq!(m.warmup_insts, 3_000);
         // Nothing at or below 400.
-        assert!(best_resume_checkpoint(&dir, &meta(&cfg, 400)).is_none());
+        assert!(best_resume_checkpoint(&dir, &meta(&cfg, 400)).0.is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -799,31 +483,46 @@ mod tests {
         m.design = "TAGE-L".into();
         assert!(matches!(
             restore_checkpoint(&bytes[..], &m, &mut core),
-            Err(CbsError::DesignMismatch { .. })
+            Err(ContainerError::IdentityMismatch {
+                field: "design",
+                ..
+            })
         ));
         let mut m = meta(&cfg, 2_000);
         m.topology = "BIM2".into();
         assert!(matches!(
             restore_checkpoint(&bytes[..], &m, &mut core),
-            Err(CbsError::TopologyMismatch { .. })
+            Err(ContainerError::IdentityMismatch {
+                field: "topology",
+                ..
+            })
         ));
         let mut m = meta(&cfg, 2_000);
         m.config_hash ^= 1;
         assert!(matches!(
             restore_checkpoint(&bytes[..], &m, &mut core),
-            Err(CbsError::ConfigHashMismatch { .. })
+            Err(ContainerError::IdentityMismatch {
+                field: "config hash",
+                ..
+            })
         ));
         let mut m = meta(&cfg, 2_000);
         m.workload = "other".into();
         assert!(matches!(
             restore_checkpoint(&bytes[..], &m, &mut core),
-            Err(CbsError::WorkloadMismatch { .. })
+            Err(ContainerError::IdentityMismatch {
+                field: "workload",
+                ..
+            })
         ));
         let mut m = meta(&cfg, 2_000);
         m.warmup_insts += 1;
         assert!(matches!(
             restore_checkpoint(&bytes[..], &m, &mut core),
-            Err(CbsError::WarmupMismatch { .. })
+            Err(ContainerError::IdentityMismatch {
+                field: "warmup boundary",
+                ..
+            })
         ));
     }
 
@@ -881,19 +580,25 @@ mod tests {
         let mut core = fresh_core(cfg);
         assert!(matches!(
             restore_checkpoint(&bytes[..], &meta(&cfg, 1_000), &mut core),
-            Err(CbsError::TrailingBytes { count: 1 })
+            Err(ContainerError::TrailingBytes { count: 1 })
         ));
     }
 
     #[test]
     fn error_messages_are_precise() {
-        let e = CbsError::DesignMismatch {
-            stored: "B2".into(),
-            expected: "TAGE-L".into(),
-        };
-        let s = e.to_string();
+        let cfg = tiny_cfg();
+        let bytes = capture(cfg, 1_000);
+        let mut core = fresh_core(cfg);
+        let mut m = meta(&cfg, 1_000);
+        m.design = "TAGE-L".into();
+        let s = restore_checkpoint(&bytes[..], &m, &mut core)
+            .unwrap_err()
+            .to_string();
         assert!(s.contains("B2") && s.contains("TAGE-L"), "{s}");
-        assert!(CbsError::BadMagic.to_string().contains("COBRACBS"));
+        let mut bad = bytes;
+        bad[0] = b'X';
+        let s = read_meta(&bad[..]).unwrap_err().to_string();
+        assert!(s.contains("COBRACBS"), "{s}");
     }
 
     #[test]

@@ -10,158 +10,36 @@
 //! telemetry reconciles bit-exactly with the run's `PerfReport` /
 //! [`AttributionReport`] ([`reconcile`]), with no side channel.
 //!
-//! The container follows the same hostile-input discipline as `.cbt`
-//! and `.cbs`: fixed-width integers little-endian, variable-length
-//! values LEB128 ([`cobra_sim::varint`]), header and payload
-//! independently CRC-32C-protected, every declared length capped before
-//! allocation, trailing bytes rejected, and precise error variants
-//! ([`CbmError`]). The normative specification, including a decoded
-//! worked example, is in `docs/METRICS_FORMAT.md` at the repository
-//! root; this module is the reference implementation.
+//! The header, frame, size caps and errors are the shared container
+//! framing ([`cobra_sim::container`]); this module adds only the
+//! identity fields, the label table and the payload schema. The
+//! normative specification, including a decoded worked example, is in
+//! `docs/METRICS_FORMAT.md` at the repository root; this module is the
+//! reference implementation.
 
 use cobra_core::obs::interval::{HostCounters, IntervalGauges, IntervalRecord, IntervalSeries};
 use cobra_core::obs::{AttributionReport, ComponentAttribution, ComponentCounters, OverrideEdge};
+use cobra_sim::container::{
+    self, cap, ContainerError, Format, HeaderReader, HeaderWriter, SliceCursor,
+};
 use cobra_sim::varint;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::io::{Read, Write};
 
-/// File magic, the first 8 bytes of every `.cbm` file.
-pub const MAGIC: [u8; 8] = *b"COBRACBM";
-/// Trailing footer magic, the last 4 bytes of every `.cbm` file.
-pub const FOOTER_MAGIC: [u8; 4] = *b"CBMX";
-/// The (only) format version this implementation reads and writes.
-pub const VERSION: u16 = 1;
-/// Reader guard: maximum accepted payload size.
-pub const MAX_PAYLOAD_BYTES: u64 = 1 << 26;
-/// Reader guard: maximum accepted length for any header string.
-pub const MAX_NAME_BYTES: u64 = 4096;
-/// Reader guard: maximum interval records per file.
+/// The `.cbm` framing: magic `COBRACBM`, footer `CBMX`, version 1,
+/// payload at most 64 MiB.
+pub const FORMAT: Format = Format {
+    magic: *b"COBRACBM",
+    footer_magic: *b"CBMX",
+    version: 1,
+    max_payload: 1 << 26,
+};
+/// Maximum interval records per file.
 pub const MAX_RECORDS: u64 = 1 << 20;
-/// Reader guard: maximum component rows (labels) per file.
+/// Maximum component rows (labels) per file.
 pub const MAX_LABELS: u64 = 64;
-/// Reader guard: maximum phase-signature buckets per record.
+/// Maximum phase-signature buckets per record.
 pub const MAX_SIG_BUCKETS: u64 = 4096;
-
-/// Everything that can go wrong reading or writing a `.cbm` file.
-#[derive(Debug)]
-pub enum CbmError {
-    /// An underlying I/O failure.
-    Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file does not end with [`FOOTER_MAGIC`].
-    BadFooterMagic,
-    /// The file's version is not supported by this implementation.
-    UnsupportedVersion(u16),
-    /// The header flags word has bits this implementation does not know.
-    UnsupportedFlags(u16),
-    /// The file ended while reading the named structure.
-    Truncated {
-        /// Which structure was being read.
-        what: &'static str,
-    },
-    /// A declared size exceeds the format's hard limits — either corrupt
-    /// or hostile; never allocated.
-    LimitExceeded {
-        /// Which declared quantity is over limit.
-        what: &'static str,
-        /// The declared value.
-        got: u64,
-        /// The maximum this reader accepts.
-        max: u64,
-    },
-    /// The header CRC-32C does not match the header bytes.
-    HeaderChecksum {
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// The payload's CRC-32C does not match its bytes.
-    PayloadChecksum {
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// A varint field is truncated or over-long.
-    BadVarint {
-        /// Which structure was being read.
-        what: &'static str,
-    },
-    /// A header string is not valid UTF-8.
-    BadName,
-    /// Bytes remain after the footer magic.
-    TrailingBytes {
-        /// How many bytes follow the footer.
-        count: u64,
-    },
-    /// The payload decoded but is semantically inconsistent (an
-    /// override edge naming a component row that does not exist, a
-    /// record with the wrong number of component rows, …).
-    Malformed {
-        /// What was inconsistent.
-        what: &'static str,
-    },
-}
-
-impl fmt::Display for CbmError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "i/o error: {e}"),
-            Self::BadMagic => write!(f, "not a CBM file (bad magic; expected `COBRACBM`)"),
-            Self::BadFooterMagic => {
-                write!(f, "bad footer magic (file truncated or not finalized)")
-            }
-            Self::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported CBM version {v} (this reader supports {VERSION})"
-                )
-            }
-            Self::UnsupportedFlags(bits) => {
-                write!(
-                    f,
-                    "unsupported header flags {bits:#06x} (reserved bits set)"
-                )
-            }
-            Self::Truncated { what } => write!(f, "file truncated while reading {what}"),
-            Self::LimitExceeded { what, got, max } => {
-                write!(f, "{what} = {got} exceeds the format limit of {max}")
-            }
-            Self::HeaderChecksum { stored, computed } => write!(
-                f,
-                "header checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            Self::PayloadChecksum { stored, computed } => write!(
-                f,
-                "payload checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            Self::BadVarint { what } => write!(f, "truncated or over-long varint in {what}"),
-            Self::BadName => write!(f, "header string is not valid UTF-8"),
-            Self::TrailingBytes { count } => {
-                write!(f, "{count} trailing bytes after the footer magic")
-            }
-            Self::Malformed { what } => write!(f, "malformed payload: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for CbmError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CbmError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
-    }
-}
 
 /// The identity a metrics file is bound to: which design, configuration,
 /// and workload produced it, plus the telemetry geometry.
@@ -209,15 +87,17 @@ pub struct CbmFile {
 ///
 /// # Errors
 ///
-/// Propagates I/O errors; [`CbmError::Malformed`] if a record's
-/// component rows disagree with the series label table.
+/// [`ContainerError::Malformed`] if a record's component rows disagree
+/// with the series label table, [`ContainerError::LimitExceeded`] if a
+/// string, count or the payload is over its cap (nothing is written
+/// then); I/O errors.
 pub fn save_metrics<W: Write>(
-    mut w: W,
+    w: W,
     meta: &CbmMeta,
     series: &IntervalSeries,
     totals_host: &HostCounters,
     totals_attr: &AttributionReport,
-) -> Result<u64, CbmError> {
+) -> Result<u64, ContainerError> {
     let labels = &series.labels;
     let n_components = labels.len().saturating_sub(1);
     let row_index: BTreeMap<&str, u64> = labels
@@ -226,22 +106,21 @@ pub fn save_metrics<W: Write>(
         .map(|(i, l)| (l.as_str(), i as u64))
         .collect();
 
-    let mut header = Vec::with_capacity(96);
-    header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&VERSION.to_le_bytes());
-    header.extend_from_slice(&0u16.to_le_bytes()); // flags
-    write_str(&mut header, &meta.design);
-    write_str(&mut header, &meta.topology);
-    header.extend_from_slice(&meta.config_hash.to_le_bytes());
-    write_str(&mut header, &meta.workload);
-    varint::write_u64(&mut header, meta.warmup_insts);
-    varint::write_u64(&mut header, meta.interval_n);
-    varint::write_u64(&mut header, meta.sig_buckets);
-    varint::write_u64(&mut header, labels.len() as u64);
+    cap("signature buckets", meta.sig_buckets, MAX_SIG_BUCKETS)?;
+    cap("label count", labels.len() as u64, MAX_LABELS)?;
+    cap("record count", series.records.len() as u64, MAX_RECORDS)?;
+    let mut h = HeaderWriter::new(&FORMAT);
+    h.str("header design name", &meta.design)?;
+    h.str("header topology", &meta.topology)?;
+    h.u64(meta.config_hash);
+    h.str("header workload name", &meta.workload)?;
+    h.varint(meta.warmup_insts);
+    h.varint(meta.interval_n);
+    h.varint(meta.sig_buckets);
+    h.varint(labels.len() as u64);
     for l in labels {
-        write_str(&mut header, l);
+        h.str("header component label", l)?;
     }
-    let header_crc = cobra_sim::crc32c(&header);
 
     let mut payload = Vec::with_capacity(series.records.len() * 256 + 256);
     varint::write_u64(&mut payload, series.records.len() as u64);
@@ -250,7 +129,7 @@ pub fn save_metrics<W: Write>(
             || rec.gauges.sram_rows.len() != n_components
             || rec.sig.len() as u64 != meta.sig_buckets
         {
-            return Err(CbmError::Malformed {
+            return Err(ContainerError::Malformed {
                 what: "record shape disagrees with the header label table",
             });
         }
@@ -270,27 +149,13 @@ pub fn save_metrics<W: Write>(
         }
     }
     if totals_attr.components.len() != labels.len() {
-        return Err(CbmError::Malformed {
+        return Err(ContainerError::Malformed {
             what: "totals shape disagrees with the header label table",
         });
     }
     encode_host(&mut payload, totals_host);
     encode_attr(&mut payload, totals_attr, &row_index)?;
-
-    let payload_len = payload.len() as u32;
-    let mut crc = cobra_sim::Crc32c::new();
-    crc.update(&payload_len.to_le_bytes());
-    crc.update(&payload);
-    let payload_crc = crc.finish();
-
-    w.write_all(&header)?;
-    w.write_all(&header_crc.to_le_bytes())?;
-    w.write_all(&payload_len.to_le_bytes())?;
-    w.write_all(&payload)?;
-    w.write_all(&payload_crc.to_le_bytes())?;
-    w.write_all(&FOOTER_MAGIC)?;
-    w.flush()?;
-    Ok(header.len() as u64 + 4 + 4 + u64::from(payload_len) + 4 + 4)
+    container::write_framed(w, &FORMAT, h, &payload)
 }
 
 /// Parses and checksums a `.cbm` header, returning the identity record
@@ -298,8 +163,8 @@ pub fn save_metrics<W: Write>(
 ///
 /// # Errors
 ///
-/// Any [`CbmError`] describing the first malformed header structure.
-pub fn read_meta<R: Read>(mut r: R) -> Result<(CbmMeta, Vec<String>), CbmError> {
+/// Any [`ContainerError`] describing the first malformed header structure.
+pub fn read_meta<R: Read>(mut r: R) -> Result<(CbmMeta, Vec<String>), ContainerError> {
     read_header(&mut r)
 }
 
@@ -307,76 +172,35 @@ pub fn read_meta<R: Read>(mut r: R) -> Result<(CbmMeta, Vec<String>), CbmError> 
 ///
 /// # Errors
 ///
-/// Any [`CbmError`]; nothing about the file is trusted before its
+/// Any [`ContainerError`]; nothing about the file is trusted before its
 /// checksums and shape checks pass.
-pub fn read_metrics<R: Read>(mut r: R) -> Result<CbmFile, CbmError> {
+pub fn read_metrics<R: Read>(mut r: R) -> Result<CbmFile, ContainerError> {
     let (meta, labels) = read_header(&mut r)?;
-    let payload_len = u64::from(read_u32(&mut r, "payload length")?);
-    if payload_len > MAX_PAYLOAD_BYTES {
-        return Err(CbmError::LimitExceeded {
-            what: "payload length",
-            got: payload_len,
-            max: MAX_PAYLOAD_BYTES,
-        });
-    }
-    let mut payload = vec![0u8; payload_len as usize];
-    read_exact(&mut r, &mut payload, "payload")?;
-    let stored = read_u32(&mut r, "payload checksum")?;
-    let mut crc = cobra_sim::Crc32c::new();
-    crc.update(&(payload_len as u32).to_le_bytes());
-    crc.update(&payload);
-    let computed = crc.finish();
-    if stored != computed {
-        return Err(CbmError::PayloadChecksum { stored, computed });
-    }
-    let mut footer = [0u8; 4];
-    read_exact(&mut r, &mut footer, "footer magic")?;
-    if footer != FOOTER_MAGIC {
-        return Err(CbmError::BadFooterMagic);
-    }
-    let mut rest = [0u8; 64];
-    let mut trailing = 0u64;
-    loop {
-        let n = r.read(&mut rest)?;
-        if n == 0 {
-            break;
-        }
-        trailing += n as u64;
-    }
-    if trailing != 0 {
-        return Err(CbmError::TrailingBytes { count: trailing });
-    }
-
+    let payload = container::read_payload(&mut r, &FORMAT)?;
     let n_components = labels.len().saturating_sub(1);
-    let mut pos = 0usize;
-    let n_records = read_varint(&payload, &mut pos, "record count")?;
-    if n_records > MAX_RECORDS {
-        return Err(CbmError::LimitExceeded {
-            what: "record count",
-            got: n_records,
-            max: MAX_RECORDS,
-        });
-    }
+    let mut c = SliceCursor::new(&payload);
+    let n_records = c.varint("record count")?;
+    cap("record count", n_records, MAX_RECORDS)?;
     let mut records = Vec::with_capacity(n_records as usize);
     for _ in 0..n_records {
-        let seq = read_varint(&payload, &mut pos, "record seq")?;
-        let start_inst = read_varint(&payload, &mut pos, "record start")?;
-        let host = decode_host(&payload, &mut pos, "record host counters")?;
-        let attr = decode_attr(&payload, &mut pos, &labels, "record attribution")?;
-        let hf_occupancy = read_varint(&payload, &mut pos, "record hf occupancy")?;
-        let ras_depth = read_varint(&payload, &mut pos, "record ras depth")?;
-        let ras_high_water = read_varint(&payload, &mut pos, "record ras high water")?;
+        let seq = c.varint("record seq")?;
+        let start_inst = c.varint("record start")?;
+        let host = decode_host(&mut c, "record host counters")?;
+        let attr = decode_attr(&mut c, &labels, "record attribution")?;
+        let hf_occupancy = c.varint("record hf occupancy")?;
+        let ras_depth = c.varint("record ras depth")?;
+        let ras_high_water = c.varint("record ras high water")?;
         let mut sram_rows = Vec::with_capacity(n_components);
         for _ in 0..n_components {
-            let touched = read_varint(&payload, &mut pos, "record sram touched rows")?;
-            let total = read_varint(&payload, &mut pos, "record sram total rows")?;
+            let touched = c.varint("record sram touched rows")?;
+            let total = c.varint("record sram total rows")?;
             sram_rows.push((touched, total));
         }
         let mut sig = Vec::with_capacity(meta.sig_buckets as usize);
         for _ in 0..meta.sig_buckets {
-            let v = read_varint(&payload, &mut pos, "record signature bucket")?;
+            let v = c.varint("record signature bucket")?;
             if v > u64::from(u32::MAX) {
-                return Err(CbmError::Malformed {
+                return Err(ContainerError::Malformed {
                     what: "signature bucket exceeds u32",
                 });
             }
@@ -396,13 +220,9 @@ pub fn read_metrics<R: Read>(mut r: R) -> Result<CbmFile, CbmError> {
             sig,
         });
     }
-    let totals_host = decode_host(&payload, &mut pos, "totals host counters")?;
-    let totals_attr = decode_attr(&payload, &mut pos, &labels, "totals attribution")?;
-    if pos != payload.len() {
-        return Err(CbmError::Malformed {
-            what: "payload bytes remain after the totals section",
-        });
-    }
+    let totals_host = decode_host(&mut c, "totals host counters")?;
+    let totals_attr = decode_attr(&mut c, &labels, "totals attribution")?;
+    c.finish("payload bytes remain after the totals section")?;
     Ok(CbmFile {
         meta,
         labels,
@@ -511,13 +331,12 @@ pub(crate) fn encode_host(out: &mut Vec<u8>, h: &HostCounters) {
 }
 
 pub(crate) fn decode_host(
-    buf: &[u8],
-    pos: &mut usize,
+    c: &mut SliceCursor<'_>,
     what: &'static str,
-) -> Result<HostCounters, CbmError> {
+) -> Result<HostCounters, ContainerError> {
     let mut a = [0u64; 11];
     for v in a.iter_mut() {
-        *v = read_varint(buf, pos, what)?;
+        *v = c.varint(what)?;
     }
     Ok(HostCounters::from_array(a))
 }
@@ -526,7 +345,7 @@ pub(crate) fn encode_attr(
     out: &mut Vec<u8>,
     attr: &AttributionReport,
     row_index: &BTreeMap<&str, u64>,
-) -> Result<(), CbmError> {
+) -> Result<(), ContainerError> {
     for c in &attr.components {
         let d = &c.counters;
         for v in [
@@ -553,7 +372,7 @@ pub(crate) fn encode_attr(
             row_index.get(e.winner.as_str()),
             row_index.get(e.loser.as_str()),
         ) else {
-            return Err(CbmError::Malformed {
+            return Err(ContainerError::Malformed {
                 what: "override edge names a component not in the label table",
             });
         };
@@ -565,16 +384,15 @@ pub(crate) fn encode_attr(
 }
 
 pub(crate) fn decode_attr(
-    buf: &[u8],
-    pos: &mut usize,
+    c: &mut SliceCursor<'_>,
     labels: &[String],
     what: &'static str,
-) -> Result<AttributionReport, CbmError> {
+) -> Result<AttributionReport, ContainerError> {
     let mut components = Vec::with_capacity(labels.len());
     for label in labels {
         let mut v = [0u64; 9];
         for x in v.iter_mut() {
-            *x = read_varint(buf, pos, what)?;
+            *x = c.varint(what)?;
         }
         components.push(ComponentAttribution {
             label: label.clone(),
@@ -591,25 +409,20 @@ pub(crate) fn decode_attr(
             },
         });
     }
-    let packets_with_prediction = read_varint(buf, pos, what)?;
-    let hf_high_water = read_varint(buf, pos, what)?;
-    let ghist_snapshot_repairs = read_varint(buf, pos, what)?;
-    let lhist_repairs = read_varint(buf, pos, what)?;
-    let n_edges = read_varint(buf, pos, what)?;
-    if n_edges > (labels.len() as u64) * (labels.len() as u64) {
-        return Err(CbmError::LimitExceeded {
-            what: "override edge count",
-            got: n_edges,
-            max: (labels.len() as u64) * (labels.len() as u64),
-        });
-    }
+    let packets_with_prediction = c.varint(what)?;
+    let hf_high_water = c.varint(what)?;
+    let ghist_snapshot_repairs = c.varint(what)?;
+    let lhist_repairs = c.varint(what)?;
+    let n_edges = c.varint(what)?;
+    let n = labels.len() as u64;
+    cap("override edge count", n_edges, n * n)?;
     let mut overrides = Vec::with_capacity(n_edges as usize);
     for _ in 0..n_edges {
-        let w = read_varint(buf, pos, what)?;
-        let l = read_varint(buf, pos, what)?;
-        let count = read_varint(buf, pos, what)?;
-        if w >= labels.len() as u64 || l >= labels.len() as u64 {
-            return Err(CbmError::Malformed {
+        let w = c.varint(what)?;
+        let l = c.varint(what)?;
+        let count = c.varint(what)?;
+        if w >= n || l >= n {
+            return Err(ContainerError::Malformed {
                 what: "override edge row index out of range",
             });
         }
@@ -629,127 +442,26 @@ pub(crate) fn decode_attr(
     })
 }
 
-fn read_header<R: Read>(r: &mut R) -> Result<(CbmMeta, Vec<String>), CbmError> {
-    let mut fixed = [0u8; 12];
-    read_exact(r, &mut fixed, "header")?;
-    if fixed[..8] != MAGIC {
-        return Err(CbmError::BadMagic);
-    }
-    let version = u16::from_le_bytes([fixed[8], fixed[9]]);
-    if version != VERSION {
-        return Err(CbmError::UnsupportedVersion(version));
-    }
-    let flags = u16::from_le_bytes([fixed[10], fixed[11]]);
-    if flags != 0 {
-        return Err(CbmError::UnsupportedFlags(flags));
-    }
-    let mut raw = fixed.to_vec();
-    let design = read_str(r, &mut raw, "header design name")?;
-    let topology = read_str(r, &mut raw, "header topology")?;
-    let mut hash_bytes = [0u8; 8];
-    read_exact(r, &mut hash_bytes, "header config hash")?;
-    raw.extend_from_slice(&hash_bytes);
-    let config_hash = u64::from_le_bytes(hash_bytes);
-    let workload = read_str(r, &mut raw, "header workload name")?;
-    let warmup_insts = read_varint_stream(r, &mut raw, "header warmup boundary")?;
-    let interval_n = read_varint_stream(r, &mut raw, "header interval length")?;
-    let sig_buckets = read_varint_stream(r, &mut raw, "header signature buckets")?;
-    if sig_buckets > MAX_SIG_BUCKETS {
-        return Err(CbmError::LimitExceeded {
-            what: "signature buckets",
-            got: sig_buckets,
-            max: MAX_SIG_BUCKETS,
-        });
-    }
-    let n_labels = read_varint_stream(r, &mut raw, "header label count")?;
-    if n_labels > MAX_LABELS {
-        return Err(CbmError::LimitExceeded {
-            what: "label count",
-            got: n_labels,
-            max: MAX_LABELS,
-        });
-    }
+fn read_header<R: Read>(r: &mut R) -> Result<(CbmMeta, Vec<String>), ContainerError> {
+    let mut h = HeaderReader::open(r, &FORMAT)?;
+    let meta = CbmMeta {
+        design: h.str("header design name")?,
+        topology: h.str("header topology")?,
+        config_hash: h.u64("header config hash")?,
+        workload: h.str("header workload name")?,
+        warmup_insts: h.varint("header warmup boundary")?,
+        interval_n: h.varint("header interval length")?,
+        sig_buckets: h.varint("header signature buckets")?,
+    };
+    cap("signature buckets", meta.sig_buckets, MAX_SIG_BUCKETS)?;
+    let n_labels = h.varint("header label count")?;
+    cap("label count", n_labels, MAX_LABELS)?;
     let mut labels = Vec::with_capacity(n_labels as usize);
     for _ in 0..n_labels {
-        labels.push(read_str(r, &mut raw, "header component label")?);
+        labels.push(h.str("header component label")?);
     }
-    let stored = read_u32(r, "header checksum")?;
-    let computed = cobra_sim::crc32c(&raw);
-    if stored != computed {
-        return Err(CbmError::HeaderChecksum { stored, computed });
-    }
-    Ok((
-        CbmMeta {
-            design,
-            topology,
-            config_hash,
-            workload,
-            warmup_insts,
-            interval_n,
-            sig_buckets,
-        },
-        labels,
-    ))
-}
-
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    varint::write_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str<R: Read>(r: &mut R, raw: &mut Vec<u8>, what: &'static str) -> Result<String, CbmError> {
-    let len = read_varint_stream(r, raw, what)?;
-    if len > MAX_NAME_BYTES {
-        return Err(CbmError::LimitExceeded {
-            what,
-            got: len,
-            max: MAX_NAME_BYTES,
-        });
-    }
-    let mut buf = vec![0u8; len as usize];
-    read_exact(r, &mut buf, what)?;
-    raw.extend_from_slice(&buf);
-    String::from_utf8(buf).map_err(|_| CbmError::BadName)
-}
-
-fn read_exact<R: Read>(r: &mut R, buf: &mut [u8], what: &'static str) -> Result<(), CbmError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            CbmError::Truncated { what }
-        } else {
-            CbmError::Io(e)
-        }
-    })
-}
-
-fn read_u32<R: Read>(r: &mut R, what: &'static str) -> Result<u32, CbmError> {
-    let mut b = [0u8; 4];
-    read_exact(r, &mut b, what)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_varint(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, CbmError> {
-    varint::read_u64(buf, pos).ok_or(CbmError::BadVarint { what })
-}
-
-/// Reads a varint byte-by-byte from a stream, appending the raw bytes to
-/// `raw` (for checksumming).
-fn read_varint_stream<R: Read>(
-    r: &mut R,
-    raw: &mut Vec<u8>,
-    what: &'static str,
-) -> Result<u64, CbmError> {
-    let start = raw.len();
-    for _ in 0..varint::MAX_VARINT_LEN {
-        let mut b = [0u8; 1];
-        read_exact(r, &mut b, what)?;
-        raw.push(b[0]);
-        if b[0] & 0x80 == 0 {
-            let mut pos = 0;
-            return varint::read_u64(&raw[start..], &mut pos).ok_or(CbmError::BadVarint { what });
-        }
-    }
-    Err(CbmError::BadVarint { what })
+    h.finish()?;
+    Ok((meta, labels))
 }
 
 #[cfg(test)]
@@ -898,7 +610,7 @@ mod tests {
         bytes.push(0);
         assert!(matches!(
             read_metrics(&bytes[..]),
-            Err(CbmError::TrailingBytes { count: 1 })
+            Err(ContainerError::TrailingBytes { count: 1 })
         ));
     }
 
@@ -927,14 +639,17 @@ mod tests {
         let mut buf = Vec::new();
         assert!(matches!(
             save_metrics(&mut buf, &meta(), &series, &th, &ta),
-            Err(CbmError::Malformed { .. })
+            Err(ContainerError::Malformed { .. })
         ));
     }
 
     #[test]
     fn error_messages_are_precise() {
-        assert!(CbmError::BadMagic.to_string().contains("COBRACBM"));
-        let e = CbmError::LimitExceeded {
+        let mut bytes = encode();
+        bytes[0] = b'X';
+        let s = read_metrics(&bytes[..]).unwrap_err().to_string();
+        assert!(s.contains("COBRACBM"), "{s}");
+        let e = ContainerError::LimitExceeded {
             what: "record count",
             got: 9,
             max: 3,

@@ -18,39 +18,43 @@
 //!
 //! [`docs/TRACE_FORMAT.md`]: https://github.com/cobra-bp/cobra-rs/blob/main/docs/TRACE_FORMAT.md
 //!
-//! Integers are little-endian when fixed-width; variable-length values use
-//! LEB128 ([`cobra_sim::varint`]), with ZigZag folding for signed deltas.
+//! The header and the read helpers are the shared container framing
+//! ([`cobra_sim::container`]); this module adds the block, static-image
+//! and footer-index sections and their errors. Integers are little-endian
+//! when fixed-width; variable-length values use LEB128
+//! ([`cobra_sim::varint`]), with ZigZag folding for signed deltas.
 //! Record PCs are never stored — each record's PC is derived from its
 //! predecessor (fall-through or taken target), which is also what makes
 //! the per-record encoding 1–5 bytes instead of 16+.
 
 use cobra_core::BranchKind;
+use cobra_sim::container::{
+    self, cap, ContainerError, Format, HeaderReader, HeaderWriter, SliceCursor,
+};
 use cobra_sim::{varint, Crc32c};
 use cobra_uarch::{CfiOutcome, DynInst, Op, StaticInst};
 use std::fmt;
 use std::io::{Read, Seek, SeekFrom, Write};
 
-/// File magic, the first 8 bytes of every `.cbt` file.
-pub const MAGIC: [u8; 8] = *b"COBRACBT";
-/// Trailing footer magic, the last 4 bytes of every `.cbt` file.
-pub const FOOTER_MAGIC: [u8; 4] = *b"CBTX";
-/// The (only) format version this implementation reads and writes.
-pub const VERSION: u16 = 1;
+/// The `.cbt` framing: magic `COBRACBT`, footer `CBTX`, version 1, block
+/// payloads at most 64 MiB.
+pub const FORMAT: Format = Format {
+    magic: *b"COBRACBT",
+    footer_magic: *b"CBTX",
+    version: 1,
+    max_payload: 1 << 26,
+};
 /// Records per block written by [`CbtWriter`] (readers accept any count
 /// up to [`MAX_BLOCK_RECORDS`]).
 pub const DEFAULT_BLOCK_RECORDS: u32 = 32_768;
 
-/// Reader guard: maximum accepted block payload size.
-pub const MAX_BLOCK_BYTES: u32 = 1 << 26;
-/// Reader guard: maximum accepted records per block.
+/// Maximum records per block.
 pub const MAX_BLOCK_RECORDS: u32 = 1 << 22;
-/// Reader guard: maximum accepted static-image parcels.
+/// Maximum static-image parcels.
 pub const MAX_STATIC_PARCELS: u64 = 1 << 22;
-/// Reader guard: maximum accepted static-image payload size.
+/// Maximum static-image payload size.
 pub const MAX_STATIC_BYTES: u64 = 1 << 26;
-/// Reader guard: maximum accepted workload-name length.
-pub const MAX_NAME_BYTES: u64 = 4096;
-/// Reader guard: maximum accepted block count.
+/// Maximum block count.
 pub const MAX_BLOCKS: u32 = 1 << 20;
 
 /// Fixed bytes in a block header: `payload_len` (u32), `record_count`
@@ -78,44 +82,16 @@ const FLAG_RESERVED: u8 = 1 << 7;
 // Static-parcel-only flag: a CFI parcel with a statically-known target.
 const FLAG_TARGET: u8 = 1 << 4;
 
-/// Everything that can go wrong reading or writing a `.cbt` file. Decode
-/// errors are precise: they name the section, block, or byte at fault so
-/// a corrupted trace is diagnosable, never silently misread.
+/// Everything that can go wrong reading or writing a `.cbt` file: the
+/// shared framing errors, plus the trace sections' own. Decode errors are
+/// precise: they name the section, block, or byte at fault so a
+/// corrupted trace is diagnosable, never silently misread.
 #[derive(Debug)]
 pub enum CbtError {
-    /// An underlying I/O failure.
-    Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file ends with the wrong [`FOOTER_MAGIC`].
-    BadFooterMagic,
-    /// The file's version is not supported by this implementation.
-    UnsupportedVersion(u16),
-    /// The header flags word has bits this implementation does not know.
-    UnsupportedFlags(u16),
-    /// The file ended (or a declared length ran out) while reading the
-    /// named section.
-    Truncated {
-        /// Which structure was being read.
-        what: &'static str,
-    },
-    /// A declared size exceeds the format's hard limits — either corrupt
-    /// or hostile; never allocated.
-    LimitExceeded {
-        /// Which declared quantity is over limit.
-        what: &'static str,
-        /// The declared value.
-        got: u64,
-        /// The maximum this reader accepts.
-        max: u64,
-    },
-    /// The header CRC-32C does not match the header bytes.
-    HeaderChecksum {
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the bytes read.
-        computed: u32,
-    },
+    /// A framing error shared with the other containers: I/O, magic,
+    /// version, flags, truncation, size caps, header checksum, varints,
+    /// the workload name.
+    Container(ContainerError),
     /// A block's CRC-32C does not match its header + payload bytes.
     BlockChecksum {
         /// Zero-based block number.
@@ -149,11 +125,6 @@ pub enum CbtError {
         /// The offending tag byte.
         tag: u8,
     },
-    /// A varint field is truncated or over-long.
-    BadVarint {
-        /// Which structure was being read.
-        what: &'static str,
-    },
     /// A block decoded to a different record count than its header
     /// declared, or left undecoded payload bytes.
     BlockShape {
@@ -173,8 +144,6 @@ pub enum CbtError {
         /// Description of the mismatch.
         detail: String,
     },
-    /// The workload name is not valid UTF-8.
-    BadName,
     /// An instruction cannot be represented in CBT (encode side): a
     /// control-flow/op mismatch, a not-taken unconditional, or a PC that
     /// does not follow from the previous record.
@@ -189,31 +158,7 @@ pub enum CbtError {
 impl fmt::Display for CbtError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Io(e) => write!(f, "i/o error: {e}"),
-            Self::BadMagic => write!(f, "not a CBT file (bad magic; expected `COBRACBT`)"),
-            Self::BadFooterMagic => {
-                write!(f, "bad footer magic (file truncated or not finalized)")
-            }
-            Self::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported CBT version {v} (this reader supports {VERSION})"
-                )
-            }
-            Self::UnsupportedFlags(bits) => {
-                write!(
-                    f,
-                    "unsupported header flags {bits:#06x} (reserved bits set)"
-                )
-            }
-            Self::Truncated { what } => write!(f, "file truncated while reading {what}"),
-            Self::LimitExceeded { what, got, max } => {
-                write!(f, "{what} = {got} exceeds the format limit of {max}")
-            }
-            Self::HeaderChecksum { stored, computed } => write!(
-                f,
-                "header checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
+            Self::Container(e) => write!(f, "{e}"),
             Self::BlockChecksum {
                 block,
                 stored,
@@ -234,11 +179,9 @@ impl fmt::Display for CbtError {
                 f,
                 "block {block} record {record}: malformed tag byte {tag:#04x}"
             ),
-            Self::BadVarint { what } => write!(f, "truncated or over-long varint in {what}"),
             Self::BlockShape { block, detail } => write!(f, "block {block}: {detail}"),
             Self::IndexMismatch { detail } => write!(f, "footer index mismatch: {detail}"),
             Self::StaticShape { detail } => write!(f, "static image: {detail}"),
-            Self::BadName => write!(f, "workload name is not valid UTF-8"),
             Self::Unencodable { pc, detail } => {
                 write!(f, "instruction at {pc:#x} cannot be encoded: {detail}")
             }
@@ -249,15 +192,21 @@ impl fmt::Display for CbtError {
 impl std::error::Error for CbtError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Self::Io(e) => Some(e),
+            Self::Container(e) => Some(e),
             _ => None,
         }
     }
 }
 
+impl From<ContainerError> for CbtError {
+    fn from(e: ContainerError) -> Self {
+        Self::Container(e)
+    }
+}
+
 impl From<std::io::Error> for CbtError {
     fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
+        Self::Container(ContainerError::Io(e))
     }
 }
 
@@ -402,10 +351,11 @@ impl StaticImage {
                     OP_DIV => Op::Div,
                     OP_FP => Op::Fp,
                     OP_LOAD | OP_STORE => {
-                        let addr =
-                            varint::read_u64(payload, &mut pos).ok_or(CbtError::BadVarint {
+                        let addr = varint::read_u64(payload, &mut pos).ok_or(
+                            ContainerError::BadVarint {
                                 what: "static parcel address",
-                            })?;
+                            },
+                        )?;
                         if opcode == OP_LOAD {
                             Op::Load { addr }
                         } else {
@@ -433,9 +383,10 @@ impl StaticImage {
                     });
                 }
                 let target = if flags & FLAG_TARGET != 0 {
-                    let d = varint::read_i64(payload, &mut pos).ok_or(CbtError::BadVarint {
-                        what: "static parcel target",
-                    })?;
+                    let d =
+                        varint::read_i64(payload, &mut pos).ok_or(ContainerError::BadVarint {
+                            what: "static parcel target",
+                        })?;
                     Some(pc.wrapping_add(d as u64))
                 } else {
                     None
@@ -536,21 +487,17 @@ impl<W: Write> CbtWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the underlying writer.
+    /// [`ContainerError::LimitExceeded`] before writing anything if `name`
+    /// is longer than [`container::MAX_NAME_BYTES`]; I/O errors.
     pub fn new(mut w: W, name: &str, entry_pc: u64) -> Result<Self, CbtError> {
-        let mut header = Vec::with_capacity(32 + name.len());
-        header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        header.extend_from_slice(&0u16.to_le_bytes()); // flags
-        varint::write_u64(&mut header, name.len() as u64);
-        header.extend_from_slice(name.as_bytes());
-        varint::write_u64(&mut header, entry_pc);
-        let crc = cobra_sim::crc32c(&header);
+        let mut h = HeaderWriter::new(&FORMAT);
+        h.str("workload name", name)?;
+        h.varint(entry_pc);
+        let header = h.finish();
         w.write_all(&header)?;
-        w.write_all(&crc.to_le_bytes())?;
         Ok(Self {
             w,
-            offset: header.len() as u64 + 4,
+            offset: header.len() as u64,
             payload: Vec::new(),
             block_records: 0,
             block_first_pc: 0,
@@ -565,10 +512,11 @@ impl<W: Write> CbtWriter<W> {
         })
     }
 
-    /// Overrides the records-per-block target (clamped to ≥ 1); useful in
-    /// tests to force multi-block files from short streams.
+    /// Overrides the records-per-block target (clamped to
+    /// `1..=`[`MAX_BLOCK_RECORDS`]); useful in tests to force multi-block
+    /// files from short streams.
     pub fn set_records_per_block(&mut self, n: u32) {
-        self.records_per_block = n.max(1);
+        self.records_per_block = n.clamp(1, MAX_BLOCK_RECORDS);
     }
 
     /// The dynamic PC window `(min, max)` observed so far, if any record
@@ -584,7 +532,8 @@ impl<W: Write> CbtWriter<W> {
     /// [`CbtError::Unencodable`] if the instruction's op/CFI fields are
     /// inconsistent, an unconditional CFI is marked not-taken, or its PC
     /// does not follow from the previous record (CBT derives PCs, so the
-    /// stream must be a connected path). I/O errors propagate.
+    /// stream must be a connected path); [`ContainerError::LimitExceeded`]
+    /// if a full block is over a cap. I/O errors propagate.
     pub fn push(&mut self, inst: &DynInst) -> Result<(), CbtError> {
         if let Some(expected) = self.next_pc {
             if inst.pc != expected {
@@ -675,6 +624,16 @@ impl<W: Write> CbtWriter<W> {
         if self.block_records == 0 {
             return Ok(());
         }
+        cap(
+            "block payload length",
+            self.payload.len() as u64,
+            FORMAT.max_payload,
+        )?;
+        cap(
+            "block count",
+            self.index.len() as u64 + 1,
+            u64::from(MAX_BLOCKS),
+        )?;
         let payload_len = self.payload.len() as u32;
         let mut crc = Crc32c::new();
         crc.update(&payload_len.to_le_bytes());
@@ -704,7 +663,8 @@ impl<W: Write> CbtWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors.
+    /// [`ContainerError::LimitExceeded`] if the last block or the static
+    /// image is over its cap; I/O errors.
     pub fn finish(mut self, image: &StaticImage) -> Result<CbtSummary, CbtError> {
         self.flush_block()?;
         let static_offset = self.offset;
@@ -712,6 +672,16 @@ impl<W: Write> CbtWriter<W> {
         varint::write_u64(&mut section, image.base);
         varint::write_u64(&mut section, image.parcels.len() as u64);
         let payload = image.encode_payload();
+        cap(
+            "static-image parcel count",
+            image.parcels.len() as u64,
+            MAX_STATIC_PARCELS,
+        )?;
+        cap(
+            "static-image payload length",
+            payload.len() as u64,
+            MAX_STATIC_BYTES,
+        )?;
         varint::write_u64(&mut section, payload.len() as u64);
         section.extend_from_slice(&payload);
         let crc = cobra_sim::crc32c(&section);
@@ -733,7 +703,7 @@ impl<W: Write> CbtWriter<W> {
         self.w.write_all(&footer)?;
         self.w.write_all(&crc.to_le_bytes())?;
         self.w.write_all(&footer_len.to_le_bytes())?;
-        self.w.write_all(&FOOTER_MAGIC)?;
+        self.w.write_all(&FORMAT.footer_magic)?;
         self.offset += footer.len() as u64 + 4 + 4 + 4;
         self.w.flush()?;
         Ok(CbtSummary {
@@ -787,75 +757,36 @@ impl<R: Read + Seek> CbtReader<R> {
         r.seek(SeekFrom::Start(0))?;
 
         // --- header ---
-        let mut fixed = [0u8; 12];
-        read_exact(&mut r, &mut fixed, "header")?;
-        if fixed[..8] != MAGIC {
-            return Err(CbtError::BadMagic);
-        }
-        let version = u16::from_le_bytes([fixed[8], fixed[9]]);
-        if version != VERSION {
-            return Err(CbtError::UnsupportedVersion(version));
-        }
-        let flags = u16::from_le_bytes([fixed[10], fixed[11]]);
-        if flags != 0 {
-            return Err(CbtError::UnsupportedFlags(flags));
-        }
-        let mut header_bytes = fixed.to_vec();
-        let name_len = read_varint_stream(&mut r, &mut header_bytes, "header name length")?;
-        if name_len > MAX_NAME_BYTES {
-            return Err(CbtError::LimitExceeded {
-                what: "workload-name length",
-                got: name_len,
-                max: MAX_NAME_BYTES,
-            });
-        }
-        let mut name_buf = vec![0u8; name_len as usize];
-        read_exact(&mut r, &mut name_buf, "workload name")?;
-        header_bytes.extend_from_slice(&name_buf);
-        let name = String::from_utf8(name_buf).map_err(|_| CbtError::BadName)?;
-        let entry_pc = read_varint_stream(&mut r, &mut header_bytes, "header entry PC")?;
-        let stored = read_u32(&mut r, "header checksum")?;
-        let computed = cobra_sim::crc32c(&header_bytes);
-        if stored != computed {
-            return Err(CbtError::HeaderChecksum { stored, computed });
-        }
-        let header_end = header_bytes.len() as u64 + 4;
+        let mut h = HeaderReader::open(&mut r, &FORMAT)?;
+        let name = h.str("workload name")?;
+        let entry_pc = h.varint("header entry PC")?;
+        let header_end = h.finish()?;
 
         // --- footer ---
         if file_len < header_end + 8 {
-            return Err(CbtError::Truncated { what: "footer" });
+            return Err(ContainerError::Truncated { what: "footer" }.into());
         }
         r.seek(SeekFrom::Start(file_len - 8))?;
-        let footer_len = u64::from(read_u32(&mut r, "footer length")?);
-        let mut magic = [0u8; 4];
-        read_exact(&mut r, &mut magic, "footer magic")?;
-        if magic != FOOTER_MAGIC {
-            return Err(CbtError::BadFooterMagic);
-        }
+        let footer_len = u64::from(container::read_u32(&mut r, "footer length")?);
+        container::read_footer_magic(&mut r, &FORMAT)?;
         let min_footer = 8 + 4 + 8 + 4;
         if footer_len < min_footer || footer_len > file_len.saturating_sub(header_end + 8) {
-            return Err(CbtError::Truncated { what: "footer" });
+            return Err(ContainerError::Truncated { what: "footer" }.into());
         }
         let footer_start = file_len - 8 - footer_len;
         r.seek(SeekFrom::Start(footer_start))?;
         let mut footer = vec![0u8; footer_len as usize];
-        read_exact(&mut r, &mut footer, "footer")?;
+        container::read_exact(&mut r, &mut footer, "footer")?;
         let (body, crc_bytes) = footer.split_at(footer.len() - 4);
         let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
         let computed = cobra_sim::crc32c(body);
         if stored != computed {
             return Err(CbtError::FooterChecksum { stored, computed });
         }
-        let mut pos = 0usize;
-        let static_offset = take_u64(body, &mut pos, "footer static offset")?;
-        let block_count = take_u32(body, &mut pos, "footer block count")?;
-        if block_count > MAX_BLOCKS {
-            return Err(CbtError::LimitExceeded {
-                what: "block count",
-                got: u64::from(block_count),
-                max: u64::from(MAX_BLOCKS),
-            });
-        }
+        let mut c = SliceCursor::new(body);
+        let static_offset = c.u64("footer static offset")?;
+        let block_count = c.u32("footer block count")?;
+        cap("block count", u64::from(block_count), u64::from(MAX_BLOCKS))?;
         if body.len() as u64 != 8 + 4 + u64::from(block_count) * INDEX_ENTRY_BYTES + 8 {
             return Err(CbtError::IndexMismatch {
                 detail: format!(
@@ -868,9 +799,9 @@ impl<R: Read + Seek> CbtReader<R> {
         let mut prev_offset = header_end;
         let mut prev_index = 0u64;
         for i in 0..block_count {
-            let offset = take_u64(body, &mut pos, "index entry offset")?;
-            let first_index = take_u64(body, &mut pos, "index entry record index")?;
-            let first_pc = take_u64(body, &mut pos, "index entry PC")?;
+            let offset = c.u64("index entry offset")?;
+            let first_index = c.u64("index entry record index")?;
+            let first_pc = c.u64("index entry PC")?;
             if offset < prev_offset || offset >= static_offset {
                 return Err(CbtError::IndexMismatch {
                     detail: format!(
@@ -897,7 +828,7 @@ impl<R: Read + Seek> CbtReader<R> {
                 records: 0, // filled from block headers on read
             });
         }
-        let total = take_u64(body, &mut pos, "footer record total")?;
+        let total = c.u64("footer record total")?;
         if static_offset < header_end || static_offset >= footer_start {
             return Err(CbtError::IndexMismatch {
                 detail: format!("static-image offset {static_offset:#x} outside the file body"),
@@ -907,27 +838,21 @@ impl<R: Read + Seek> CbtReader<R> {
         // --- static image ---
         r.seek(SeekFrom::Start(static_offset))?;
         let mut section = Vec::new();
-        let base = read_varint_stream(&mut r, &mut section, "static-image base PC")?;
-        let parcel_count = read_varint_stream(&mut r, &mut section, "static-image parcel count")?;
-        if parcel_count > MAX_STATIC_PARCELS {
-            return Err(CbtError::LimitExceeded {
-                what: "static-image parcel count",
-                got: parcel_count,
-                max: MAX_STATIC_PARCELS,
-            });
-        }
-        let payload_len = read_varint_stream(&mut r, &mut section, "static-image payload length")?;
-        if payload_len > MAX_STATIC_BYTES {
-            return Err(CbtError::LimitExceeded {
-                what: "static-image payload length",
-                got: payload_len,
-                max: MAX_STATIC_BYTES,
-            });
-        }
+        let base = container::read_varint_stream(&mut r, &mut section, "static-image base PC")?;
+        let parcel_count =
+            container::read_varint_stream(&mut r, &mut section, "static-image parcel count")?;
+        cap(
+            "static-image parcel count",
+            parcel_count,
+            MAX_STATIC_PARCELS,
+        )?;
+        let payload_len =
+            container::read_varint_stream(&mut r, &mut section, "static-image payload length")?;
+        cap("static-image payload length", payload_len, MAX_STATIC_BYTES)?;
         let mut payload = vec![0u8; payload_len as usize];
-        read_exact(&mut r, &mut payload, "static-image payload")?;
+        container::read_exact(&mut r, &mut payload, "static-image payload")?;
         section.extend_from_slice(&payload);
-        let stored = read_u32(&mut r, "static-image checksum")?;
+        let stored = container::read_u32(&mut r, "static-image checksum")?;
         let computed = cobra_sim::crc32c(&section);
         if stored != computed {
             return Err(CbtError::StaticChecksum { stored, computed });
@@ -983,26 +908,22 @@ impl<R: Read + Seek> CbtReader<R> {
         let meta = self.index[i];
         let block = i as u32;
         self.r.seek(SeekFrom::Start(meta.offset))?;
-        let payload_len = read_u32(&mut self.r, "block payload length")?;
-        if payload_len > MAX_BLOCK_BYTES {
-            return Err(CbtError::LimitExceeded {
-                what: "block payload length",
-                got: u64::from(payload_len),
-                max: u64::from(MAX_BLOCK_BYTES),
-            });
-        }
-        let record_count = read_u32(&mut self.r, "block record count")?;
-        if record_count > MAX_BLOCK_RECORDS {
-            return Err(CbtError::LimitExceeded {
-                what: "block record count",
-                got: u64::from(record_count),
-                max: u64::from(MAX_BLOCK_RECORDS),
-            });
-        }
-        let first_pc = read_u64(&mut self.r, "block first PC")?;
-        let stored = read_u32(&mut self.r, "block checksum")?;
+        let payload_len = container::read_u32(&mut self.r, "block payload length")?;
+        cap(
+            "block payload length",
+            u64::from(payload_len),
+            FORMAT.max_payload,
+        )?;
+        let record_count = container::read_u32(&mut self.r, "block record count")?;
+        cap(
+            "block record count",
+            u64::from(record_count),
+            u64::from(MAX_BLOCK_RECORDS),
+        )?;
+        let first_pc = container::read_u64(&mut self.r, "block first PC")?;
+        let stored = container::read_u32(&mut self.r, "block checksum")?;
         let mut payload = vec![0u8; payload_len as usize];
-        read_exact(&mut self.r, &mut payload, "block payload")?;
+        container::read_exact(&mut self.r, &mut payload, "block payload")?;
         let mut crc = Crc32c::new();
         crc.update(&payload_len.to_le_bytes());
         crc.update(&record_count.to_le_bytes());
@@ -1124,9 +1045,10 @@ fn decode_block(
                 OP_DIV => Op::Div,
                 OP_FP => Op::Fp,
                 OP_LOAD | OP_STORE => {
-                    let delta = varint::read_i64(payload, &mut pos).ok_or(CbtError::BadVarint {
-                        what: "record memory-address delta",
-                    })?;
+                    let delta =
+                        varint::read_i64(payload, &mut pos).ok_or(ContainerError::BadVarint {
+                            what: "record memory-address delta",
+                        })?;
                     let addr = prev_mem_addr.wrapping_add(delta as u64);
                     prev_mem_addr = addr;
                     if opcode == OP_LOAD {
@@ -1151,7 +1073,7 @@ fn decode_block(
             if kind != BranchKind::Conditional && !taken {
                 return Err(CbtError::BadRecordTag { block, record, tag });
             }
-            let delta = varint::read_i64(payload, &mut pos).ok_or(CbtError::BadVarint {
+            let delta = varint::read_i64(payload, &mut pos).ok_or(ContainerError::BadVarint {
                 what: "record branch-target delta",
             })?;
             let target = (pc + 2).wrapping_add(delta as u64);
@@ -1181,64 +1103,6 @@ fn decode_block(
         });
     }
     Ok(out)
-}
-
-// -------------------------------------------------------------- IO helpers
-
-fn read_exact<R: Read>(r: &mut R, buf: &mut [u8], what: &'static str) -> Result<(), CbtError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            CbtError::Truncated { what }
-        } else {
-            CbtError::Io(e)
-        }
-    })
-}
-
-fn read_u32<R: Read>(r: &mut R, what: &'static str) -> Result<u32, CbtError> {
-    let mut b = [0u8; 4];
-    read_exact(r, &mut b, what)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R, what: &'static str) -> Result<u64, CbtError> {
-    let mut b = [0u8; 8];
-    read_exact(r, &mut b, what)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Reads a varint byte-by-byte from a stream, appending the raw bytes to
-/// `raw` (for checksumming).
-fn read_varint_stream<R: Read>(
-    r: &mut R,
-    raw: &mut Vec<u8>,
-    what: &'static str,
-) -> Result<u64, CbtError> {
-    let start = raw.len();
-    for _ in 0..varint::MAX_VARINT_LEN {
-        let mut b = [0u8; 1];
-        read_exact(r, &mut b, what)?;
-        raw.push(b[0]);
-        if b[0] & 0x80 == 0 {
-            let mut pos = 0;
-            return varint::read_u64(&raw[start..], &mut pos).ok_or(CbtError::BadVarint { what });
-        }
-    }
-    Err(CbtError::BadVarint { what })
-}
-
-fn take_u32(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u32, CbtError> {
-    let end = *pos + 4;
-    let bytes = buf.get(*pos..end).ok_or(CbtError::Truncated { what })?;
-    *pos = end;
-    Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
-}
-
-fn take_u64(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, CbtError> {
-    let end = *pos + 8;
-    let bytes = buf.get(*pos..end).ok_or(CbtError::Truncated { what })?;
-    *pos = end;
-    Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
 }
 
 #[cfg(test)]
@@ -1478,7 +1342,10 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("block 3"), "{s}");
         assert!(s.contains("0xdeadbeef"), "{s}");
-        assert!(CbtError::BadMagic.to_string().contains("COBRACBT"));
+        let mut bad = write_sample(16);
+        bad[0] = b'X';
+        let s = CbtReader::open(Cursor::new(bad)).unwrap_err().to_string();
+        assert!(s.contains("COBRACBT"), "{s}");
     }
 
     impl<R: Read + Seek> CbtReader<R> {
