@@ -28,13 +28,14 @@
 //! Exit status: 0 on success, 1 on a capture or verify failure, 2 on a
 //! usage error.
 
+use cobra_bench::run::{execute, resave_checkpoint, warmup_for, RunSpec};
 use cobra_bench::runner::parallel_map;
-use cobra_bench::{ckpt_file_name, run_insts};
+use cobra_bench::{ckpt_file_name, run_insts, workload_by_name, KERNEL_NAMES};
 use cobra_core::composer::Design;
 use cobra_core::designs;
-use cobra_uarch::{read_meta, restore_checkpoint, save_checkpoint, CbsMeta, Core, CoreConfig};
-use cobra_workloads::{kernels, spec17, ProgramSpec, SPEC17_NAMES};
-use std::path::PathBuf;
+use cobra_uarch::CoreConfig;
+use cobra_workloads::{ProgramSpec, SPEC17_NAMES};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -53,32 +54,6 @@ Options:
                    re-serialize, and require byte-identical state
   --list           print design and workload names and exit
   -h, --help       print this help";
-
-const KERNEL_NAMES: &[&str] = &[
-    "dhrystone",
-    "coremark",
-    "aliasing_stress",
-    "loop_stress",
-    "history_depth",
-    "btb_stress",
-    "ras_stress",
-];
-
-fn workload_by_name(name: &str) -> Option<ProgramSpec> {
-    if SPEC17_NAMES.iter().any(|n| n.eq_ignore_ascii_case(name)) {
-        return Some(spec17::spec17(&name.to_ascii_lowercase()));
-    }
-    match name.to_ascii_lowercase().as_str() {
-        "dhrystone" => Some(kernels::dhrystone()),
-        "coremark" => Some(kernels::coremark(false)),
-        "aliasing_stress" => Some(kernels::aliasing_stress()),
-        "loop_stress" => Some(kernels::loop_stress()),
-        "history_depth" => Some(kernels::history_depth(32)),
-        "btb_stress" => Some(kernels::btb_stress()),
-        "ras_stress" => Some(kernels::ras_stress()),
-        _ => None,
-    }
-}
 
 struct Options {
     workloads: Vec<String>,
@@ -147,50 +122,31 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         workloads,
         designs: design_names,
         out,
-        at: at.unwrap_or_else(|| run_insts() * 2 / 5),
+        at: at.unwrap_or_else(|| warmup_for(run_insts())),
         verify,
     }))
 }
 
-/// Captures one (design, workload) checkpoint, returning the bytes
-/// written.
-fn capture_one(
-    design: &Design,
-    spec: &ProgramSpec,
-    warmup: u64,
-    path: &std::path::Path,
-) -> Result<u64, String> {
-    let cfg = CoreConfig::boom_4wide();
-    let mut core =
-        Core::new(design, cfg, spec.build()).map_err(|e| format!("compose failed: {e}"))?;
-    core.run(warmup, &spec.name);
-    let meta = CbsMeta::for_run(design, &cfg, &spec.name, warmup);
-    let file = std::fs::File::create(path).map_err(|e| format!("create failed: {e}"))?;
-    save_checkpoint(std::io::BufWriter::new(file), &meta, &core)
-        .map_err(|e| format!("write failed: {e}"))
+/// Runs `design` on `spec` to the warmup boundary `at` and saves the
+/// machine to `path`; returns the bytes written.
+fn save_at(design: &Design, spec: &ProgramSpec, at: u64, path: &Path) -> Result<u64, String> {
+    let outcome = execute(RunSpec {
+        warmup: at,
+        measure: 0,
+        saves: vec![(at, path.to_path_buf())],
+        ..RunSpec::new(design, CoreConfig::boom_4wide(), spec, 0)
+    })
+    .map_err(|e| e.to_string())?;
+    Ok(outcome.saved.iter().map(|&(_, bytes)| bytes).sum())
 }
 
-/// Re-opens `path`, restores it into a fresh core, re-serializes that
-/// core, and requires the bytes to match the file exactly — a full
+/// Restores `path` into a fresh core, re-serializes that core, and
+/// requires the bytes to match the file exactly — a full
 /// save/restore/save fixed-point check.
-fn verify_one(
-    design: &Design,
-    spec: &ProgramSpec,
-    warmup: u64,
-    path: &std::path::Path,
-) -> Result<(), String> {
-    let cfg = CoreConfig::boom_4wide();
+fn verify_one(design: &Design, spec: &ProgramSpec, at: u64, path: &Path) -> Result<(), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("re-open failed: {e}"))?;
-    let meta = CbsMeta::for_run(design, &cfg, &spec.name, warmup);
-    let stored = read_meta(&bytes[..]).map_err(|e| format!("header: {e}"))?;
-    if stored != meta {
-        return Err(format!("identity mismatch: file says {stored:?}"));
-    }
-    let mut core =
-        Core::new(design, cfg, spec.build()).map_err(|e| format!("compose failed: {e}"))?;
-    restore_checkpoint(&bytes[..], &meta, &mut core).map_err(|e| format!("restore: {e}"))?;
-    let mut resaved = Vec::new();
-    save_checkpoint(&mut resaved, &meta, &core).map_err(|e| format!("re-save: {e}"))?;
+    let resaved = resave_checkpoint(design, CoreConfig::boom_4wide(), spec, at, path)
+        .map_err(|e| e.to_string())?;
     if resaved != bytes {
         return Err("restore/re-save is not a byte-identical fixed point".into());
     }
@@ -259,7 +215,7 @@ fn main() -> ExitCode {
     let results = parallel_map(&pairs, |_, (design, spec)| {
         let path = opts.out.join(ckpt_file_name(&design.name, &spec.name));
         let t0 = Instant::now();
-        let outcome = capture_one(design, spec, opts.at, &path).and_then(|bytes| {
+        let outcome = save_at(design, spec, opts.at, &path).and_then(|bytes| {
             if opts.verify {
                 verify_one(design, spec, opts.at, &path)?;
             }

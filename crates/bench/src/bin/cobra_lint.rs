@@ -29,6 +29,7 @@
 use cobra_bench::reference;
 use cobra_core::analysis::{self, AnalysisConfig, DiagCode, Severity};
 use cobra_core::designs;
+use cobra_core::obs::json_str;
 use std::process::ExitCode;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -387,23 +388,4 @@ fn sanitize(s: &str) -> String {
             }
         })
         .collect()
-}
-
-/// Local JSON string escaping (mirrors the analyzer's serde-free output).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

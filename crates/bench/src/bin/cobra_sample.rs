@@ -30,20 +30,21 @@
 //! Exit status: 0 on success (for `check`: every cell within the
 //! bound), 1 on failure, 2 on a usage error.
 
+use cobra_bench::run::{execute, RunSpec};
 use cobra_bench::runner::parallel_map;
 use cobra_bench::{
     interval_dir, jsonv,
     jsonv::Json,
     metrics_file_name, run_insts,
     sampling::{
-        self, derive_plan, load_plan, plan_file_name, render_plan, run_sampled, slice_ckpt_name,
+        derive_plan, load_plan, plan_file_name, render_plan, run_sampled, slice_ckpt_name,
         SamplePlan,
     },
     workload_by_name,
 };
 use cobra_core::composer::Design;
 use cobra_core::designs;
-use cobra_uarch::{read_metrics, save_checkpoint, CbsMeta, Core, CoreConfig};
+use cobra_uarch::{read_metrics, CoreConfig};
 use cobra_workloads::{ProgramSpec, SPEC17_NAMES};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -289,27 +290,22 @@ fn capture_slices(
     plan: &SamplePlan,
     out: &Path,
 ) -> Result<u64, String> {
-    let cfg = CoreConfig::boom_4wide();
-    let mut core =
-        Core::new(design, cfg, spec.build()).map_err(|e| format!("compose failed: {e}"))?;
-    let mut bytes = 0u64;
-    for slice in &plan.slices {
-        core.run(slice.start_inst, &spec.name);
-        let got = core.counters().committed_insts;
-        if got < slice.start_inst {
-            return Err(format!(
-                "slice s{} starts at instruction {} but the workload ended at {got} \
-                 — the plan does not match this workload",
-                slice.seq, slice.start_inst
-            ));
-        }
-        let meta = CbsMeta::for_run(design, &cfg, &spec.name, slice.start_inst);
-        let path = out.join(slice_ckpt_name(&design.name, &spec.name, slice.seq));
-        let file = std::fs::File::create(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        bytes += save_checkpoint(std::io::BufWriter::new(file), &meta, &core)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-    }
-    Ok(bytes)
+    let saves: Vec<(u64, PathBuf)> = plan
+        .slices
+        .iter()
+        .map(|s| {
+            let name = slice_ckpt_name(&design.name, &spec.name, s.seq);
+            (s.start_inst, out.join(name))
+        })
+        .collect();
+    let outcome = execute(RunSpec {
+        warmup: saves.last().map_or(0, |&(at, _)| at),
+        measure: 0,
+        saves,
+        ..RunSpec::new(design, CoreConfig::boom_4wide(), spec, 0)
+    })
+    .map_err(|e| e.to_string())?;
+    Ok(outcome.saved.iter().map(|&(_, bytes)| bytes).sum())
 }
 
 /// `ckpt`: capture slice checkpoints for every (design, workload) pair.
@@ -352,11 +348,12 @@ fn cmd_ckpt(o: &Options) -> Result<bool, String> {
 /// The exact full run a plan's estimate approximates, at the plan's own
 /// warmup boundary and the current `COBRA_INSTS` measured length.
 fn run_full(design: &Design, spec: &ProgramSpec, plan: &SamplePlan) -> Result<f64, String> {
-    let cfg = CoreConfig::boom_4wide();
-    let mut core =
-        Core::new(design, cfg, spec.build()).map_err(|e| format!("compose failed: {e}"))?;
-    let report = core.run_with_warmup(plan.warmup_insts, run_insts(), &spec.name);
-    Ok(report.counters.mpki())
+    let outcome = execute(RunSpec {
+        warmup: plan.warmup_insts,
+        ..RunSpec::new(design, CoreConfig::boom_4wide(), spec, run_insts())
+    })
+    .map_err(|e| e.to_string())?;
+    Ok(outcome.report.counters.mpki())
 }
 
 /// `run`: sampled estimate for one (design, workload), optionally next
@@ -591,7 +588,7 @@ fn main() -> ExitCode {
         }
     };
     // Sampled runs must not recurse into the sampled env arm.
-    if sampling::sample_warmup(0) > 0 && std::env::var_os("COBRA_SAMPLE_DIR").is_some() {
+    if std::env::var_os("COBRA_SAMPLE_DIR").is_some() {
         eprintln!("cobra-sample: note: COBRA_SAMPLE_DIR is ignored here (plans come from --plans)");
     }
     let outcome = match o.command.as_str() {

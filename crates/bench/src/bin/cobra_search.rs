@@ -25,8 +25,9 @@
 //! Exit status: 0 on success (for `--validate`: every member passes),
 //! 1 on failure, 2 on a usage error.
 
+use cobra_bench::run::{execute, warmup_for, RunSpec};
 use cobra_bench::runner::threads;
-use cobra_bench::sampling::{load_plan, plan_file_name, run_sampled};
+use cobra_bench::sampling::{load_plan_at, plan_file_name, run_sampled};
 use cobra_bench::search::{
     parse_frontier_json, prune_statically, render_frontier_human, render_frontier_json, run_search,
     Candidate, SearchConfig,
@@ -175,29 +176,21 @@ fn eval_local(
     let design = designs::from_topology(&cand.topology, cand.ghist_bits, cand.lhist_entries);
     let cfg = CoreConfig::boom_4wide();
     let measure = run_insts();
-    let warmup = measure * 2 / 5;
     let mut out = Vec::with_capacity(specs.len());
     for (name, spec) in specs {
         let plan_path = plans.map(|d| d.join(plan_file_name(name)));
         let mpki = match plan_path.filter(|p| p.is_file()) {
             Some(p) => {
-                let plan = load_plan(&p)?;
-                if plan.warmup_insts != warmup {
-                    return Err(format!(
-                        "{}: plan warmup {} != current warmup {warmup}",
-                        p.display(),
-                        plan.warmup_insts
-                    ));
-                }
+                let plan = load_plan_at(&p, warmup_for(measure)).map_err(|e| e.to_string())?;
                 run_sampled(&design, cfg, spec, &plan, plans)?
                     .estimate
                     .mpki()
             }
-            None => {
-                let mut core = cobra_uarch::Core::new(&design, cfg, spec.build())
-                    .map_err(|e| format!("compose: {e}"))?;
-                core.run_with_warmup(warmup, measure, name).counters.mpki()
-            }
+            None => execute(RunSpec::new(&design, cfg, spec, measure))
+                .map_err(|e| e.to_string())?
+                .report
+                .counters
+                .mpki(),
         };
         out.push((name.clone(), mpki));
     }

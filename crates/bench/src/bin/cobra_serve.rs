@@ -384,14 +384,9 @@ fn run_client(o: &Options) -> Result<(), String> {
             println!("{}", c.report_bytes);
             *counts.entry(c.cache.clone()).or_insert(0u64) += 1;
             let job = runner::JobResult {
-                report: c.report.clone(),
-                wall: Duration::from_secs_f64(c.wall_s),
-                trace: None,
-                checkpoint: None,
-                metrics: None,
-                sampled: None,
                 served: Some(listen_desc.clone()),
                 cache: Some(c.cache.clone()),
+                ..runner::JobResult::new(c.report.clone(), Duration::from_secs_f64(c.wall_s))
             };
             eprintln!(
                 "[serve-client] {} {:<28} {:>7.2}s{}",

@@ -24,12 +24,12 @@
 //! Exit status: 0 on success, 1 when `--selfcheck` finds a violation,
 //! 2 on a usage error.
 
-use cobra_bench::{jsonv, run_insts, runner};
+use cobra_bench::{jsonv, run_insts, runner, workload_by_name, KERNEL_NAMES};
 use cobra_core::designs;
 use cobra_core::obs::trace::{TraceFormat, TraceSink};
 use cobra_core::obs::{AttributionReport, PcBlame};
 use cobra_uarch::{Core, CoreConfig, PerfReport};
-use cobra_workloads::{kernels, spec17, ProgramSpec, SPEC17_NAMES};
+use cobra_workloads::SPEC17_NAMES;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -65,32 +65,6 @@ Options:
                    invariant; exit 1 on any violation
   --list           print known designs and workloads and exit
   -h, --help       print this help";
-
-const KERNEL_NAMES: &[&str] = &[
-    "dhrystone",
-    "coremark",
-    "aliasing_stress",
-    "loop_stress",
-    "history_depth",
-    "btb_stress",
-    "ras_stress",
-];
-
-fn workload_by_name(name: &str) -> Option<ProgramSpec> {
-    if SPEC17_NAMES.iter().any(|n| n.eq_ignore_ascii_case(name)) {
-        return Some(spec17(&name.to_ascii_lowercase()));
-    }
-    match name.to_ascii_lowercase().as_str() {
-        "dhrystone" => Some(kernels::dhrystone()),
-        "coremark" => Some(kernels::coremark(false)),
-        "aliasing_stress" => Some(kernels::aliasing_stress()),
-        "loop_stress" => Some(kernels::loop_stress()),
-        "history_depth" => Some(kernels::history_depth(32)),
-        "btb_stress" => Some(kernels::btb_stress()),
-        "ras_stress" => Some(kernels::ras_stress()),
-        _ => None,
-    }
-}
 
 fn print_list() {
     println!("designs:");
@@ -552,16 +526,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &o.metrics {
-        let result = runner::JobResult {
-            report: report.clone(),
-            wall,
-            trace: None,
-            checkpoint: None,
-            metrics: None,
-            sampled: None,
-            served: None,
-            cache: None,
-        };
+        let result = runner::JobResult::new(report.clone(), wall);
         let line = runner::metrics_record("cobra-trace", &result);
         if let Err(e) = runner::write_metrics(path, std::slice::from_ref(&line)) {
             eprintln!("cobra-trace: warning: could not write --metrics {path:?}: {e}");

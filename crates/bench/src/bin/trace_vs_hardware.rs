@@ -13,13 +13,33 @@
 //! exactly, because capture preserves the instruction stream bit-for-bit.
 
 use cobra_bench::runner::parallel_map;
-use cobra_bench::{capture_workload, run_insts, run_one};
+use cobra_bench::{capture_workload, run_insts, run_one, warmup_for};
 use cobra_core::composer::Design;
 use cobra_core::designs;
-use cobra_uarch::{CoreConfig, TraceSim};
+use cobra_uarch::{CoreConfig, InstructionStream, TraceSim};
 use cobra_workloads::{spec17, TraceProgram};
 
 const WORKLOADS: [&str; 5] = ["perlbench", "gcc", "leela", "x264", "xz"];
+
+/// Conditional-branch accuracy (%) of the trace-driven evaluator on
+/// `stream` over `insts` instructions after `warmup`.
+fn trace_accuracy(
+    design: &Design,
+    stream: &mut dyn InstructionStream,
+    warmup: u64,
+    insts: u64,
+) -> f64 {
+    let mut sim = TraceSim::new(design).expect("composes");
+    let before = sim.run(stream, warmup);
+    let after = sim.run(stream, insts);
+    let cb = after.cond_branches - before.cond_branches;
+    let cm = after.cond_mispredicts - before.cond_mispredicts;
+    if cb == 0 {
+        100.0
+    } else {
+        100.0 * (1.0 - cm as f64 / cb as f64)
+    }
+}
 
 fn main() {
     println!("TRACE-DRIVEN vs HARDWARE-IN-THE-LOOP accuracy (cond branches)");
@@ -43,51 +63,17 @@ fn main() {
         .iter()
         .flat_map(|w| all_designs.iter().map(move |d| (*w, d)))
         .collect();
+    let warmup = warmup_for(insts);
     let cells = parallel_map(&pairs, |_, &(w, design)| {
         let spec = spec17::spec17(w);
         // Trace-driven: perfect in-order history, no speculation.
-        let mut trace = TraceSim::new(design).expect("composes");
-        let mut stream = spec.build();
-        // Same warm-up discipline as the core runs.
-        trace.run(&mut stream, insts * 2 / 5);
-        let mut sim = TraceSim::new(design).expect("composes");
-        let warm = {
-            // Re-warm a fresh simulator on the same prefix so the
-            // measured region matches the hardware run.
-            let mut s = spec.build();
-            sim.run(&mut s, insts * 2 / 5);
-            let before = *sim.stats();
-            let after = sim.run(&mut s, insts);
-            (before, after)
-        };
-        let trace_acc = {
-            let (before, after) = warm;
-            let cb = after.cond_branches - before.cond_branches;
-            let cm = after.cond_mispredicts - before.cond_mispredicts;
-            if cb == 0 {
-                100.0
-            } else {
-                100.0 * (1.0 - cm as f64 / cb as f64)
-            }
-        };
+        let trace_acc = trace_accuracy(design, &mut spec.build(), warmup, insts);
         // Replayed-trace arm: the same evaluator, fed from the captured
         // `.cbt` file instead of the live generator.
-        let replay_acc = {
-            let path = capture_dir.join(format!("{w}.cbt"));
-            let mut program =
-                TraceProgram::open(&path).unwrap_or_else(|e| panic!("replaying {w}: {e}"));
-            let mut sim = TraceSim::new(design).expect("composes");
-            sim.run(&mut program, insts * 2 / 5);
-            let before = *sim.stats();
-            let after = sim.run(&mut program, insts);
-            let cb = after.cond_branches - before.cond_branches;
-            let cm = after.cond_mispredicts - before.cond_mispredicts;
-            if cb == 0 {
-                100.0
-            } else {
-                100.0 * (1.0 - cm as f64 / cb as f64)
-            }
-        };
+        let path = capture_dir.join(format!("{w}.cbt"));
+        let mut program =
+            TraceProgram::open(&path).unwrap_or_else(|e| panic!("replaying {w}: {e}"));
+        let replay_acc = trace_accuracy(design, &mut program, warmup, insts);
         // Hardware-in-the-loop.
         let hw = run_one(design, CoreConfig::boom_4wide(), &spec);
         (trace_acc, replay_acc, hw.counters.branch_accuracy())

@@ -103,24 +103,9 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 /// Escapes `s` as a JSON string literal, including the surrounding
-/// quotes — the shared writer-side helper.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// quotes — the shared writer-side helper, re-exported from
+/// [`cobra_core::obs::json_str`] so every JSON writer escapes alike.
+pub use cobra_core::obs::json_str as escape;
 
 fn err(at: usize, msg: &str) -> ParseError {
     ParseError {

@@ -30,54 +30,35 @@
 //! | `cobra-sample` | sampling — phase-sampling plans, slice checkpoints, sampled estimates, CI accuracy gate (see [`sampling`]) |
 //! | `cobra-search` | autotuner — statically-pruned topology search emitting a Pareto frontier (see [`search`]) |
 //!
-//! Run lengths scale with the `COBRA_INSTS` environment variable
-//! (instructions per measured run, default 500 000; warm-up is 40 % of it).
-//! Setting `COBRA_TRACE=<path>` streams structured prediction events from
-//! every simulated BPU (see `cobra_core::obs::trace`), and
-//! `COBRA_METRICS=<path>` makes [`runner::run_grid`] append one JSONL
-//! record per job. Setting `COBRA_TRACE_DIR=<dir>` switches any grid
-//! binary to *trace-driven* execution: each job whose workload has a
-//! captured `<dir>/<workload>.cbt` replays that trace instead of
-//! generating the stream — byte-identical `PerfReport`s, so stdout does
-//! not change (see [`run_one_sourced`]). Setting `COBRA_CKPT_DIR=<dir>`
-//! makes every grid binary restore jobs from warm-state checkpoints: a
-//! job whose `<dir>/<design>--<workload>.cbs` exists (written by
-//! `cobra-checkpoint`) skips its warm-up entirely by restoring the
-//! checkpointed machine state at the warmup boundary — again with a
-//! byte-identical `PerfReport`, enforced by the checkpoint's identity
-//! header. Checkpoints compose with `COBRA_TRACE_DIR`: the restored
-//! workload cursor fast-forwards whichever stream source the job uses.
-//! Setting `COBRA_SAMPLE_DIR=<dir>` goes further: jobs whose workload
-//! has a `<dir>/<workload>.plan.json` phase-sampling plan (written by
-//! `cobra-sample`) are *estimated* from the plan's weighted slices
-//! instead of simulated in full — an approximation, so the report rows
-//! carry `sampled=` provenance and `COBRA_METRICS` records a
-//! `"sampled"` field (see [`sampling`] and `docs/SAMPLING.md`).
-//!
-//! Setting `COBRA_INTERVAL=<n>` arms interval telemetry on every run:
-//! each job additionally writes a `.cbm` metrics file (one record per
-//! `n` committed instructions — see `cobra_uarch::metrics` and
-//! `docs/METRICS_FORMAT.md`) to `$COBRA_INTERVAL_DIR` (default
-//! `metrics/`), named `<design>--<workload>.cbm`. `COBRA_PROGRESS=<n>`
-//! makes each job print a heartbeat line to stderr every `n` committed
-//! instructions (instructions done, MIPS, ETA). Both are stderr/side-file
-//! only: stdout stays byte-identical with telemetry on or off.
+//! Every simulation goes through one executor, [`run::execute`]: a
+//! [`RunSpec`] in, a [`RunOutcome`] or a typed [`RunError`] out. The grid
+//! binaries reach it through [`run_one_sourced`], which resolves the
+//! `COBRA_*` environment knobs (run length, trace replay, checkpoint
+//! restore, phase sampling, progress and interval telemetry) into a
+//! `RunSpec` once per job. `docs/ARCHITECTURE.md`, section "Run
+//! pipeline", lists the knobs, the `RunSpec` fields they set, the three
+//! warm-state kinds, where provenance is produced, and the `RunError`
+//! variants.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod jsonv;
 pub mod reference;
+pub mod run;
 pub mod runner;
 pub mod sampling;
 pub mod search;
 pub mod serve;
 pub mod timing;
 
+pub use run::{execute, warmup_for, RunError, RunOutcome, RunSpec};
+
 use cobra_core::composer::Design;
-use cobra_uarch::{restore_checkpoint, CbsMeta, Core, CoreConfig, InstructionStream, PerfReport};
-use cobra_workloads::{ProgramSpec, TraceProgram};
-use std::path::PathBuf;
+use cobra_uarch::{CoreConfig, PerfReport};
+use cobra_workloads::ProgramSpec;
+use run::{ProgressFn, WarmState};
+use std::path::{Path, PathBuf};
 
 /// Instructions per measured run (the `COBRA_INSTS` environment variable,
 /// default 500 000).
@@ -140,55 +121,14 @@ pub fn workload_by_name(name: &str) -> Option<ProgramSpec> {
     }
 }
 
-/// Builds a core for `design` and `spec`, runs warm-up plus a measured
-/// region, and returns the measured report.
+/// [`run_one_sourced`] without a job tag, returning only the measured
+/// report.
 ///
 /// # Panics
 ///
-/// Panics if the design fails to compose — harness binaries treat that as
-/// a fatal configuration error.
+/// As [`run_one_sourced`].
 pub fn run_one(design: &Design, cfg: CoreConfig, spec: &ProgramSpec) -> PerfReport {
-    run_one_tagged(design, cfg, spec, None)
-}
-
-/// [`run_one`] with a job tag substituted into any `COBRA_TRACE`-attached
-/// tracer's output path, so concurrent grid jobs write to distinct,
-/// deterministic files (the tag encodes the grid index, not the thread).
-///
-/// # Panics
-///
-/// Panics if the design fails to compose — harness binaries treat that as
-/// a fatal configuration error.
-pub fn run_one_tagged(
-    design: &Design,
-    cfg: CoreConfig,
-    spec: &ProgramSpec,
-    tag: Option<&str>,
-) -> PerfReport {
-    run_one_sourced(design, cfg, spec, tag).report
-}
-
-/// The outcome of one simulation, with its workload provenance.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// The measured-region performance report.
-    pub report: PerfReport,
-    /// The `.cbt` file replayed, when the run was trace-driven
-    /// (`COBRA_TRACE_DIR`); `None` for execution-driven runs.
-    pub trace: Option<PathBuf>,
-    /// The `.cbs` file restored, when the run skipped its warm-up via a
-    /// warm-state checkpoint (`COBRA_CKPT_DIR`); `None` for runs that
-    /// warmed up from scratch.
-    pub checkpoint: Option<PathBuf>,
-    /// The `.cbm` interval-telemetry file written, when `COBRA_INTERVAL`
-    /// armed the engine; `None` for untelemetered runs.
-    pub metrics: Option<PathBuf>,
-    /// `"<mode>:<plan path>"` when the run was *estimated* under a
-    /// sampling plan (`COBRA_SAMPLE_DIR`), where mode is `ckpt` or
-    /// `cold` ([`sampling::SampleMode`]); `None` for exact full runs. A
-    /// sampled outcome's report carries estimated counters — see
-    /// [`sampling`] and `docs/SAMPLING.md`.
-    pub sampled: Option<String>,
+    run_one_sourced(design, cfg, spec, None).report
 }
 
 /// The directory named by `COBRA_TRACE_DIR`, if set and non-empty.
@@ -198,18 +138,23 @@ pub struct RunOutcome {
 /// as unset.
 pub fn trace_dir() -> Option<PathBuf> {
     static WARNED: std::sync::Once = std::sync::Once::new();
-    let dir = std::env::var("COBRA_TRACE_DIR").ok()?;
+    env_dir("COBRA_TRACE_DIR", "running execution-driven", &WARNED)
+}
+
+/// The directory named by the environment variable `var`, if set and
+/// non-empty. A set-but-missing directory warns once (per `warned`) on
+/// stderr, naming what the run does instead (`fallback`), and is then
+/// treated as unset.
+fn env_dir(var: &str, fallback: &str, warned: &std::sync::Once) -> Option<PathBuf> {
+    let dir = std::env::var(var).ok()?;
     let dir = dir.trim();
     if dir.is_empty() {
         return None;
     }
     let path = PathBuf::from(dir);
     if !path.is_dir() {
-        WARNED.call_once(|| {
-            eprintln!(
-                "warning: COBRA_TRACE_DIR={dir:?} is not a directory; \
-                 running execution-driven"
-            );
+        warned.call_once(|| {
+            eprintln!("warning: {var}={dir:?} is not a directory; {fallback}");
         });
         return None;
     }
@@ -231,22 +176,7 @@ pub fn trace_path_for(workload: &str) -> Option<PathBuf> {
 /// as unset.
 pub fn ckpt_dir() -> Option<PathBuf> {
     static WARNED: std::sync::Once = std::sync::Once::new();
-    let dir = std::env::var("COBRA_CKPT_DIR").ok()?;
-    let dir = dir.trim();
-    if dir.is_empty() {
-        return None;
-    }
-    let path = PathBuf::from(dir);
-    if !path.is_dir() {
-        WARNED.call_once(|| {
-            eprintln!(
-                "warning: COBRA_CKPT_DIR={dir:?} is not a directory; \
-                 warming up from scratch"
-            );
-        });
-        return None;
-    }
-    Some(path)
+    env_dir("COBRA_CKPT_DIR", "warming up from scratch", &WARNED)
 }
 
 /// The directory interval-telemetry `.cbm` files are written to:
@@ -275,30 +205,7 @@ pub fn metrics_file_name(design: &str, workload: &str) -> String {
 /// treated as unset.
 pub fn sample_dir() -> Option<PathBuf> {
     static WARNED: std::sync::Once = std::sync::Once::new();
-    let dir = std::env::var("COBRA_SAMPLE_DIR").ok()?;
-    let dir = dir.trim();
-    if dir.is_empty() {
-        return None;
-    }
-    let path = PathBuf::from(dir);
-    if !path.is_dir() {
-        WARNED.call_once(|| {
-            eprintln!(
-                "warning: COBRA_SAMPLE_DIR={dir:?} is not a directory; \
-                 running exact"
-            );
-        });
-        return None;
-    }
-    Some(path)
-}
-
-/// The sampling plan a sampled run of `workload` would use
-/// (`$COBRA_SAMPLE_DIR/<workload>.plan.json`), if `COBRA_SAMPLE_DIR` is
-/// set and the file exists.
-pub fn sample_plan_path_for(workload: &str) -> Option<PathBuf> {
-    let path = sample_dir()?.join(sampling::plan_file_name(workload));
-    path.is_file().then_some(path)
+    env_dir("COBRA_SAMPLE_DIR", "running exact", &WARNED)
 }
 
 /// The `COBRA_PROGRESS` heartbeat period in committed instructions, if
@@ -340,20 +247,27 @@ pub fn ckpt_path_for(design: &str, workload: &str) -> Option<PathBuf> {
     path.is_file().then_some(path)
 }
 
-/// Like [`run_one_tagged`], but reporting whether the run replayed a
-/// captured trace: with `COBRA_TRACE_DIR` set and a `<workload>.cbt`
-/// present, the core consumes the replayed [`TraceProgram`] instead of a
-/// freshly generated stream. Capture preserves both halves of the
-/// workload interface (dynamic records and the static-decode image), so
-/// the resulting [`PerfReport`] is byte-identical either way — workloads
-/// without a captured trace quietly stay execution-driven, which keeps
-/// partially-captured grids runnable and stdout stable.
+/// Runs one grid job: the `COBRA_*` knobs resolved into a [`RunSpec`]
+/// and handed to [`execute`]. `tag` is substituted into any
+/// `COBRA_TRACE`-attached tracer's output path, so concurrent grid jobs
+/// write to distinct, deterministic files.
+///
+/// With `COBRA_SAMPLE_DIR` holding a `<workload>.plan.json`, the job is
+/// estimated from the plan's slices. Otherwise, with `COBRA_TRACE_DIR`
+/// holding a `<workload>.cbt`, the core replays the captured trace, and
+/// with `COBRA_CKPT_DIR` holding a `<design>--<workload>.cbs`, it skips
+/// its warm-up by restoring the checkpoint. Replay and restore give
+/// byte-identical reports; workloads without a trace or checkpoint
+/// quietly run execution-driven and cold, which keeps partially captured
+/// grids runnable and stdout stable. `COBRA_PROGRESS` and
+/// `COBRA_INTERVAL` arm the stderr heartbeat and the `.cbm` telemetry.
 ///
 /// # Panics
 ///
-/// Panics if the design fails to compose, or if the trace file exists but
-/// is corrupt or truncated (a fatal configuration error, reported with
-/// the precise [`CbtError`](cobra_workloads::CbtError)).
+/// Panics with the [`RunError`] if the run fails: a design that does not
+/// compose, or a trace, checkpoint or plan that is corrupt, truncated,
+/// or of another identity or boundary (a fatal configuration error). The
+/// message names the environment variable and the file.
 pub fn run_one_sourced(
     design: &Design,
     cfg: CoreConfig,
@@ -361,199 +275,76 @@ pub fn run_one_sourced(
     tag: Option<&str>,
 ) -> RunOutcome {
     let measure = run_insts();
-    let warmup = measure * 2 / 5;
-    if let Some(plan_path) = sample_plan_path_for(&spec.name) {
-        let plan = sampling::load_plan(&plan_path)
-            .unwrap_or_else(|e| panic!("COBRA_SAMPLE_DIR plan: {e}"));
-        assert_eq!(
-            plan.warmup_insts,
-            warmup,
-            "COBRA_SAMPLE_DIR plan {} was derived at warmup boundary {} \
-             but COBRA_INSTS={measure} implies {warmup} — rerun \
-             `cobra-sample plan` at this scale or unset COBRA_SAMPLE_DIR",
-            plan_path.display(),
-            plan.warmup_insts
-        );
-        let outcome = sampling::run_sampled(design, cfg, spec, &plan, sample_dir().as_deref())
-            .unwrap_or_else(|e| panic!("COBRA_SAMPLE_DIR sampled run: {e}"));
-        return RunOutcome {
-            report: outcome.report,
-            trace: None,
-            checkpoint: None,
-            metrics: None,
-            sampled: Some(format!("{}:{}", outcome.mode.as_str(), plan_path.display())),
+    let base = RunSpec::new(design, cfg, spec, measure);
+    let sample_dir = sample_dir();
+    let plan = sample_dir
+        .as_ref()
+        .map(|dir| dir.join(sampling::plan_file_name(&spec.name)))
+        .filter(|path| path.is_file());
+    let outcome = match &plan {
+        Some(path) => sampled(base, path, sample_dir.as_deref()),
+        None => execute(RunSpec {
+            trace: trace_path_for(&spec.name),
+            warm: ckpt_path_for(&design.name, &spec.name)
+                .map_or(WarmState::Cold, WarmState::Restore),
+            tag,
+            progress: progress_every().map(|every| (every, heartbeat(tag, base.warmup + measure))),
+            interval: cobra_core::obs::interval::interval_n().map(|n| (n, interval_dir())),
+            ..base
+        }),
+    };
+    outcome.unwrap_or_else(|e| {
+        let knob = match e {
+            _ if plan.is_some() => "COBRA_SAMPLE_DIR",
+            RunError::Checkpoint { .. } => "COBRA_CKPT_DIR",
+            RunError::Trace { .. } | RunError::StreamEnded { .. } => "COBRA_TRACE_DIR",
+            _ => "run",
         };
-    }
-    match trace_path_for(&spec.name) {
-        Some(path) => {
-            let program = TraceProgram::open(&path)
-                .unwrap_or_else(|e| panic!("COBRA_TRACE_DIR replay of {}: {e}", path.display()));
-            if program.name() != spec.name {
-                eprintln!(
-                    "warning: {} was captured from workload {:?}, replaying as {:?}",
-                    path.display(),
-                    program.name(),
-                    spec.name
-                );
-            }
-            let mut core = Core::new(design, cfg, program).expect("stock designs always compose");
-            if let Some(tag) = tag {
-                core.bpu_mut().retarget_env_tracer(tag);
-            }
-            let checkpoint = restore_into(design, &cfg, &spec.name, warmup, &mut core);
-            install_progress(&mut core, tag, warmup + measure);
-            let report = core.run_with_warmup(warmup, measure, &spec.name);
-            let metrics =
-                write_interval_metrics(design, &cfg, &spec.name, warmup, &mut core, &report);
-            RunOutcome {
-                report,
-                trace: Some(path),
-                checkpoint,
-                metrics,
-                sampled: None,
-            }
-        }
-        None => {
-            let mut core =
-                Core::new(design, cfg, spec.build()).expect("stock designs always compose");
-            if let Some(tag) = tag {
-                core.bpu_mut().retarget_env_tracer(tag);
-            }
-            let checkpoint = restore_into(design, &cfg, &spec.name, warmup, &mut core);
-            install_progress(&mut core, tag, warmup + measure);
-            let report = core.run_with_warmup(warmup, measure, &spec.name);
-            let metrics =
-                write_interval_metrics(design, &cfg, &spec.name, warmup, &mut core, &report);
-            RunOutcome {
-                report,
-                trace: None,
-                checkpoint,
-                metrics,
-                sampled: None,
-            }
-        }
-    }
+        panic!("{knob}: {e}")
+    })
 }
 
-/// Installs the `COBRA_PROGRESS` heartbeat on a freshly-built core:
-/// every `COBRA_PROGRESS` committed instructions, one stderr line with
-/// instructions done, simulated MIPS, and the wall-clock ETA to
-/// `target_insts` (warm-up plus measured region). Stderr only — stdout
-/// stays stable for diffing.
-fn install_progress<S: InstructionStream>(
-    core: &mut Core<S>,
-    tag: Option<&str>,
-    target_insts: u64,
-) {
-    let Some(every) = progress_every() else {
-        return;
-    };
+/// `run`'s measured region estimated under the plan at `path`, from the
+/// slice checkpoints in `slice_dir` when every one is there.
+fn sampled(
+    run: RunSpec<'_>,
+    path: &Path,
+    slice_dir: Option<&Path>,
+) -> Result<RunOutcome, RunError> {
+    let started = std::time::Instant::now();
+    let plan = sampling::load_plan_at(path, run.warmup)?;
+    let sampled = sampling::sample(run.design, run.cfg, run.spec, &plan, slice_dir)?;
+    Ok(RunOutcome {
+        sampled: Some(format!("{}:{}", sampled.mode.as_str(), path.display())),
+        ..RunOutcome::new(sampled.report, started.elapsed())
+    })
+}
+
+/// The `COBRA_PROGRESS` heartbeat: one stderr line with instructions
+/// done, simulated MIPS, and the wall-clock ETA to `target_insts`
+/// (warm-up plus measured region). Stderr only — stdout stays stable for
+/// diffing.
+fn heartbeat(tag: Option<&str>, target_insts: u64) -> ProgressFn {
     let label = tag.unwrap_or("run").to_string();
     let started = std::time::Instant::now();
-    core.set_progress(
-        every,
-        Box::new(move |insts, cycles| {
-            let secs = started.elapsed().as_secs_f64();
-            let mips = if secs > 0.0 {
-                insts as f64 / secs / 1e6
-            } else {
-                0.0
-            };
-            let eta = if insts > 0 && target_insts > insts {
-                secs * (target_insts - insts) as f64 / insts as f64
-            } else {
-                0.0
-            };
-            eprintln!(
-                "[runner] progress {label}: {insts}/{target_insts} insts \
-                 ({:.1}%), {cycles} cycles, {mips:.2} MIPS, ETA {eta:.1}s",
-                insts as f64 * 100.0 / target_insts.max(1) as f64
-            );
-        }),
-    );
-}
-
-/// Drains the interval series a measured run collected (if
-/// `COBRA_INTERVAL` armed the engine) and writes it as a `.cbm` file to
-/// [`interval_dir`], bound to the run's identity and carrying the
-/// measured-region totals from `report` so any reader can verify
-/// reconciliation self-contained. Returns the path written.
-///
-/// Write failures warn on stderr but never fail the run — telemetry is
-/// an observability side channel, and the tables on stdout are the
-/// primary artifact.
-fn write_interval_metrics<S: InstructionStream>(
-    design: &Design,
-    cfg: &CoreConfig,
-    workload: &str,
-    warmup: u64,
-    core: &mut Core<S>,
-    report: &PerfReport,
-) -> Option<PathBuf> {
-    let series = core.take_intervals()?;
-    let meta = cobra_uarch::CbmMeta {
-        design: design.name.clone(),
-        topology: design.topology.clone(),
-        config_hash: cobra_uarch::config_hash(design, cfg),
-        workload: workload.to_string(),
-        warmup_insts: warmup,
-        interval_n: series.interval_n,
-        sig_buckets: cobra_core::obs::interval::SIG_BUCKETS as u64,
-    };
-    let dir = interval_dir();
-    let path = dir.join(metrics_file_name(&design.name, workload));
-    let write = || -> Result<(), String> {
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-        let file = std::fs::File::create(&path).map_err(|e| e.to_string())?;
-        cobra_uarch::save_metrics(
-            std::io::BufWriter::new(file),
-            &meta,
-            &series,
-            &report.counters.to_host(),
-            &report.attribution,
-        )
-        .map_err(|e| e.to_string())?;
-        Ok(())
-    };
-    match write() {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!(
-                "warning: could not write interval metrics {}: {e}",
-                path.display()
-            );
-            None
-        }
-    }
-}
-
-/// Restores `$COBRA_CKPT_DIR/<design>--<workload>.cbs` into a
-/// freshly-built core, if the directory is set and the file exists,
-/// returning the path restored. Jobs without a matching checkpoint
-/// quietly warm up from scratch, which keeps partially-checkpointed
-/// grids runnable and stdout stable.
-///
-/// # Panics
-///
-/// Panics if the checkpoint file exists but is corrupt, truncated, or was
-/// captured under a different design, configuration, workload, or warmup
-/// boundary — restoring it anyway would silently skew the measured
-/// region, so a mismatch is a fatal configuration error, reported with
-/// the precise [`ContainerError`](cobra_uarch::ContainerError).
-fn restore_into<S: InstructionStream>(
-    design: &Design,
-    cfg: &CoreConfig,
-    workload: &str,
-    warmup: u64,
-    core: &mut Core<S>,
-) -> Option<PathBuf> {
-    let path = ckpt_path_for(&design.name, workload)?;
-    let meta = CbsMeta::for_run(design, cfg, workload, warmup);
-    let file = std::fs::File::open(&path)
-        .unwrap_or_else(|e| panic!("COBRA_CKPT_DIR restore of {}: {e}", path.display()));
-    restore_checkpoint(std::io::BufReader::new(file), &meta, core)
-        .unwrap_or_else(|e| panic!("COBRA_CKPT_DIR restore of {}: {e}", path.display()));
-    Some(path)
+    std::sync::Arc::new(move |insts, cycles| {
+        let secs = started.elapsed().as_secs_f64();
+        let mips = if secs > 0.0 {
+            insts as f64 / secs / 1e6
+        } else {
+            0.0
+        };
+        let eta = if insts > 0 && target_insts > insts {
+            secs * (target_insts - insts) as f64 / insts as f64
+        } else {
+            0.0
+        };
+        eprintln!(
+            "[runner] progress {label}: {insts}/{target_insts} insts \
+             ({:.1}%), {cycles} cycles, {mips:.2} MIPS, ETA {eta:.1}s",
+            insts as f64 * 100.0 / target_insts.max(1) as f64
+        );
+    })
 }
 
 /// The number of instructions [`capture_workload`] records for a measured
@@ -561,8 +352,7 @@ fn restore_into<S: InstructionStream>(
 /// the region itself plus fetch-ahead slack, so a replayed run never
 /// starves the frontend before the measured region completes.
 pub fn capture_len(measure: u64) -> u64 {
-    let warmup = measure * 2 / 5;
-    warmup + measure + measure / 10 + 16_384
+    warmup_for(measure) + measure + measure / 10 + 16_384
 }
 
 /// Captures `spec` to `<dir>/<name>.cbt` sized for a measured region of

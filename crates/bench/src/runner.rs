@@ -10,7 +10,7 @@
 //!   external dependencies);
 //! * [`run_grid`] — the simulation-shaped convenience: a slice of
 //!   [`Job`]s in, a [`JobResult`] per job out (same order), each with the
-//!   [`PerfReport`], its wall-clock time, and simulated MIPS.
+//!   [`PerfReport`](cobra_uarch::PerfReport), its wall-clock time, and simulated MIPS.
 //!
 //! Thread count comes from the `COBRA_THREADS` environment variable
 //! (default: available hardware parallelism). Results are returned in job
@@ -29,7 +29,7 @@
 
 use crate::{jsonv, run_one_sourced};
 use cobra_core::composer::Design;
-use cobra_uarch::{CoreConfig, PerfReport};
+use cobra_uarch::CoreConfig;
 use cobra_workloads::ProgramSpec;
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -138,84 +138,11 @@ impl<'a> Job<'a> {
     }
 }
 
-/// The outcome of one grid job.
-#[derive(Debug, Clone)]
-pub struct JobResult {
-    /// The measured-region performance report.
-    pub report: PerfReport,
-    /// Wall-clock time of the whole job (warm-up + measured region).
-    pub wall: Duration,
-    /// The `.cbt` file replayed when the job ran trace-driven
-    /// (`COBRA_TRACE_DIR`); `None` for execution-driven jobs. Carried so
-    /// both the stderr progress line and the `COBRA_METRICS` record can
-    /// say which jobs replayed a trace.
-    pub trace: Option<std::path::PathBuf>,
-    /// The `.cbs` file restored when the job skipped its warm-up via a
-    /// warm-state checkpoint (`COBRA_CKPT_DIR`); `None` for jobs that
-    /// warmed up from scratch. Carried for the same reporting surfaces
-    /// as `trace`.
-    pub checkpoint: Option<std::path::PathBuf>,
-    /// The `.cbm` interval-telemetry file the job wrote when
-    /// `COBRA_INTERVAL` armed the engine (`None` otherwise). Carried for
-    /// the same reporting surfaces as `trace`.
-    pub metrics: Option<std::path::PathBuf>,
-    /// `"<mode>:<plan path>"` when the job was *estimated* under a
-    /// sampling plan (`COBRA_SAMPLE_DIR`, mode `ckpt` or `cold`);
-    /// `None` for exact runs. Sampled reports carry estimated counters
-    /// — the provenance matters when mining the metrics stream, so it
-    /// rides on the same surfaces as `trace`.
-    pub sampled: Option<String>,
-    /// The `cobra-serve` endpoint that produced this report when the job
-    /// was served rather than simulated in-process (`None` for direct
-    /// runs). Carried so cobra-report can attribute wall-time wins to
-    /// the daemon.
-    pub served: Option<String>,
-    /// How the serving daemon satisfied the job: `"hit"` (tier-1 result
-    /// cache), `"warm"` (tier-2 checkpoint restore), or `"miss"` (full
-    /// simulation). `None` for direct runs.
-    pub cache: Option<String>,
-}
-
-impl JobResult {
-    /// Simulated millions of instructions per wall-clock second, counting
-    /// the measured region's committed instructions against the whole
-    /// job's wall time (warm-up included) — a conservative throughput
-    /// figure for capacity planning.
-    pub fn mips(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.report.counters.committed_insts as f64 / secs / 1e6
-    }
-
-    /// The provenance suffix of a stderr progress line (` trace=…`,
-    /// ` ckpt=…`, ` cbm=…`, ` served=…`, ` cache=…`); empty for a plain
-    /// execution-driven job. Shared between [`run_grid_on`] and the
-    /// `cobra-serve` bench client so served and direct logs read alike.
-    pub fn provenance_note(&self) -> String {
-        let mut note = String::new();
-        if let Some(p) = &self.trace {
-            note.push_str(&format!(" trace={}", p.display()));
-        }
-        if let Some(p) = &self.checkpoint {
-            note.push_str(&format!(" ckpt={}", p.display()));
-        }
-        if let Some(p) = &self.metrics {
-            note.push_str(&format!(" cbm={}", p.display()));
-        }
-        if let Some(p) = &self.sampled {
-            note.push_str(&format!(" sampled={p}"));
-        }
-        if let Some(s) = &self.served {
-            note.push_str(&format!(" served={s}"));
-        }
-        if let Some(c) = &self.cache {
-            note.push_str(&format!(" cache={c}"));
-        }
-        note
-    }
-}
+/// The outcome of one grid job: the run executor's [`RunOutcome`](crate::RunOutcome), with
+/// its report, wall clock and provenance (`trace`, `checkpoint`,
+/// `metrics`, `sampled`, and `served`/`cache` for jobs a `cobra-serve`
+/// daemon ran).
+pub use crate::run::RunOutcome as JobResult;
 
 /// Runs `jobs` on `threads` worker threads. Results come back in job
 /// order; each row is bit-identical to what a serial loop over
@@ -226,23 +153,12 @@ pub fn run_grid_on(threads: usize, jobs: &[Job<'_>]) -> Vec<JobResult> {
     let done = AtomicUsize::new(0);
     let results = parallel_map_on(threads, jobs, |i, job| {
         let tag = job_id(i);
-        let t = Instant::now();
-        let outcome = run_one_sourced(
+        let r = run_one_sourced(
             job.design,
             job.cfg,
             job.spec,
             Some(&format!("{tag}-{}-{}", job.design.name, job.spec.name)),
         );
-        let r = JobResult {
-            report: outcome.report,
-            wall: t.elapsed(),
-            trace: outcome.trace,
-            checkpoint: outcome.checkpoint,
-            metrics: outcome.metrics,
-            sampled: outcome.sampled,
-            served: None,
-            cache: None,
-        };
         let n = done.fetch_add(1, Ordering::Relaxed) + 1;
         // Replayed / restored / served jobs carry their provenance so
         // trace-driven and warmup-skipping grid runs are distinguishable
@@ -437,6 +353,7 @@ pub fn write_metrics(path: &str, lines: &[String]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cobra_uarch::PerfReport;
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -472,21 +389,15 @@ mod tests {
 
     #[test]
     fn metrics_record_is_valid_json() {
-        let r = JobResult {
-            report: PerfReport {
+        let r = JobResult::new(
+            PerfReport {
                 workload: "gcc \"ref\"".into(),
                 design: "TAGE-L".into(),
                 counters: Default::default(),
                 attribution: Default::default(),
             },
-            wall: Duration::from_millis(1234),
-            trace: None,
-            checkpoint: None,
-            metrics: None,
-            sampled: None,
-            served: None,
-            cache: None,
-        };
+            Duration::from_millis(1234),
+        );
         let line = metrics_record(&job_id(3), &r);
         let v = jsonv::parse(&line).expect("record parses");
         assert_eq!(v.get("job").and_then(jsonv::Json::as_str), Some("job03"));

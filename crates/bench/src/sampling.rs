@@ -34,11 +34,10 @@
 //! committed golden full-run values via `cobra-sample check`.
 
 use crate::jsonv::{self, Json};
+use crate::run::{execute, execute_on, RunError, RunSpec, WarmState};
 use cobra_core::obs::interval::HostCounters;
 use cobra_sim::SplitMix64;
-use cobra_uarch::{
-    restore_checkpoint, CbmFile, CbsMeta, Core, CoreConfig, PerfCounters, PerfReport, SkipStream,
-};
+use cobra_uarch::{CbmFile, CoreConfig, PerfCounters, PerfReport, SkipStream};
 use cobra_workloads::ProgramSpec;
 use std::path::Path;
 
@@ -506,6 +505,29 @@ pub fn load_plan(path: &Path) -> Result<SamplePlan, String> {
     parse_plan(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
+/// [`load_plan`] for a run whose warm-up boundary is `warmup`: the plan
+/// must have been derived at that same boundary, or its slices would
+/// measure the wrong region.
+///
+/// # Errors
+///
+/// [`RunError::Plan`] for an unreadable or malformed plan,
+/// [`RunError::PlanBoundary`] for a plan at another boundary.
+pub fn load_plan_at(path: &Path, warmup: u64) -> Result<SamplePlan, RunError> {
+    let plan = load_plan(path).map_err(|message| RunError::Plan {
+        path: path.to_path_buf(),
+        message,
+    })?;
+    if plan.warmup_insts != warmup {
+        return Err(RunError::PlanBoundary {
+            path: path.to_path_buf(),
+            plan: plan.warmup_insts,
+            run: warmup,
+        });
+    }
+    Ok(plan)
+}
+
 /// Per-slice cold-start warmup instructions: `COBRA_SAMPLE_WARMUP` if
 /// set, else twice the plan's interval length. Clamped further by each
 /// slice's distance from the shared-cursor position.
@@ -584,22 +606,67 @@ pub fn run_sampled(
     plan: &SamplePlan,
     ckpt_dir: Option<&Path>,
 ) -> Result<SampledOutcome, String> {
-    let have_all_ckpts = ckpt_dir.is_some_and(|dir| {
+    sample(design, cfg, spec, plan, ckpt_dir).map_err(|e| e.to_string())
+}
+
+/// [`run_sampled`] with a typed error, for the grid's sampled jobs.
+pub(crate) fn sample(
+    design: &cobra_core::composer::Design,
+    cfg: CoreConfig,
+    spec: &ProgramSpec,
+    plan: &SamplePlan,
+    ckpt_dir: Option<&Path>,
+) -> Result<SampledOutcome, RunError> {
+    let all_ckpts = ckpt_dir.filter(|dir| {
         plan.slices.iter().all(|s| {
             dir.join(slice_ckpt_name(&design.name, &plan.workload, s.seq))
                 .is_file()
         })
     });
-    let (deltas, mode) = if have_all_ckpts {
-        (
-            run_slices_from_checkpoints(design, cfg, spec, plan, ckpt_dir.expect("checked"))?,
-            SampleMode::Checkpoint,
-        )
+    let mut deltas = Vec::with_capacity(plan.slices.len());
+    let mode = if let Some(dir) = all_ckpts {
+        // Exact state: each slice restores its checkpoint and measures.
+        for s in &plan.slices {
+            let path = dir.join(slice_ckpt_name(&design.name, &plan.workload, s.seq));
+            let outcome = execute(RunSpec {
+                warm: WarmState::Restore(path),
+                warmup: s.start_inst,
+                measure: s.len,
+                ..RunSpec::new(design, cfg, spec, s.len)
+            })?;
+            deltas.push(outcome.report.counters.to_host());
+        }
+        SampleMode::Checkpoint
     } else {
-        (
-            run_slices_cold(design, cfg, spec, plan)?,
-            SampleMode::ColdStart,
-        )
+        // Cold start: slices share one generator (ascending
+        // `start_inst`); each fast-forwards the shared cursor, warms up
+        // for up to `sample_warmup` instructions, then measures. A slice
+        // the shared cursor has already overrun (fetch read-ahead can
+        // overshoot a tightly following boundary) gets a private
+        // generator from instruction zero.
+        let warmup_req = sample_warmup(plan.interval_n);
+        let mut shared = spec.build();
+        let mut consumed = 0u64;
+        for s in &plan.slices {
+            let warm_start = s.start_inst.saturating_sub(warmup_req);
+            let overrun = warm_start < consumed;
+            let mut private = overrun.then(|| spec.build());
+            let (generator, skip) = match &mut private {
+                Some(p) => (p, warm_start),
+                None => (&mut shared, warm_start - consumed),
+            };
+            let mut stream = SkipStream::new(generator, skip);
+            let run = RunSpec {
+                warmup: s.start_inst - warm_start,
+                measure: s.len,
+                ..RunSpec::new(design, cfg, spec, s.len)
+            };
+            deltas.push(execute_on(run, &mut stream)?.report.counters.to_host());
+            if !overrun {
+                consumed += stream.pulls();
+            }
+        }
+        SampleMode::ColdStart
     };
     let estimate = estimate(plan, &deltas);
     let report = PerfReport {
@@ -614,105 +681,6 @@ pub fn run_sampled(
         deltas,
         mode,
     })
-}
-
-/// Exact-state slice evaluation: one fresh core per slice, restored from
-/// its slice checkpoint, run for the slice length.
-fn run_slices_from_checkpoints(
-    design: &cobra_core::composer::Design,
-    cfg: CoreConfig,
-    spec: &ProgramSpec,
-    plan: &SamplePlan,
-    dir: &Path,
-) -> Result<Vec<HostCounters>, String> {
-    let mut deltas = Vec::with_capacity(plan.slices.len());
-    for slice in &plan.slices {
-        let path = dir.join(slice_ckpt_name(&design.name, &plan.workload, slice.seq));
-        let mut core = Core::new(design, cfg, spec.build())
-            .map_err(|e| format!("{}: compose: {e}", design.name))?;
-        let meta = CbsMeta::for_run(design, &cfg, &plan.workload, slice.start_inst);
-        let file = std::fs::File::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        restore_checkpoint(std::io::BufReader::new(file), &meta, &mut core)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        let baseline = *core.counters();
-        let end = slice.start_inst + slice.len;
-        let report = core.run(end, &plan.workload);
-        if report.counters.committed_insts < end {
-            return Err(format!(
-                "slice s{} ends at instruction {end} but the workload \
-                 ended at {} — plan and workload disagree",
-                slice.seq, report.counters.committed_insts
-            ));
-        }
-        deltas.push(report.counters.delta(&baseline).to_host());
-    }
-    Ok(deltas)
-}
-
-/// Cold-start slice evaluation: slices share one workload generator
-/// (ascending `start_inst`); each slice fast-forwards the shared cursor,
-/// warms a fresh core for up to [`sample_warmup`] instructions, then
-/// measures the slice. Falls back to a private generator for a slice the
-/// shared cursor has already overrun (fetch read-ahead can overshoot a
-/// tightly following boundary).
-fn run_slices_cold(
-    design: &cobra_core::composer::Design,
-    cfg: CoreConfig,
-    spec: &ProgramSpec,
-    plan: &SamplePlan,
-) -> Result<Vec<HostCounters>, String> {
-    let warmup_req = sample_warmup(plan.interval_n);
-    let mut shared = spec.build();
-    let mut consumed = 0u64;
-    let mut deltas = Vec::with_capacity(plan.slices.len());
-    for slice in &plan.slices {
-        let warm_start = slice.start_inst.saturating_sub(warmup_req);
-        let delta = if warm_start >= consumed {
-            // Shared-cursor path: skip forward, run, take the stream back.
-            let warm = slice.start_inst - warm_start;
-            let skip = warm_start - consumed;
-            let stream = SkipStream::new(&mut shared, skip);
-            let (d, pulls) = run_one_slice(design, cfg, stream, warm, slice)?;
-            consumed += pulls;
-            d
-        } else {
-            // Overrun: rebuild a private generator from instruction zero.
-            let warm = slice.start_inst - warm_start;
-            let stream = SkipStream::new(spec.build(), warm_start);
-            let (d, _) = run_one_slice(design, cfg, stream, warm, slice)?;
-            d
-        };
-        deltas.push(delta);
-    }
-    Ok(deltas)
-}
-
-/// Warm + measure one cold-started slice on a fresh core; returns the
-/// measured delta and how many instructions the core pulled from the
-/// stream (the shared-cursor advance).
-fn run_one_slice<S: cobra_uarch::InstructionStream>(
-    design: &cobra_core::composer::Design,
-    cfg: CoreConfig,
-    stream: SkipStream<S>,
-    warm: u64,
-    slice: &SampleSlice,
-) -> Result<(HostCounters, u64), String> {
-    let mut core =
-        Core::new(design, cfg, stream).map_err(|e| format!("{}: compose: {e}", design.name))?;
-    core.run(warm, "slice-warmup");
-    let baseline = *core.counters();
-    let end = warm + slice.len;
-    let report = core.run(end, "slice");
-    if report.counters.committed_insts < end {
-        return Err(format!(
-            "slice s{} needs {} instructions past its warmup but the \
-             workload ended at {} — plan and workload disagree",
-            slice.seq, slice.len, report.counters.committed_insts
-        ));
-    }
-    let delta = report.counters.delta(&baseline).to_host();
-    let pulls = core.into_stream().pulls();
-    Ok((delta, pulls))
 }
 
 #[cfg(test)]

@@ -20,10 +20,7 @@ use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cobra_uarch::{
-    best_resume_checkpoint, read_result, save_result, CbrMeta, CbsMeta, Core, InstructionStream,
-    PerfReport,
-};
+use cobra_uarch::{best_resume_checkpoint, read_result, save_result, CbrMeta, CbsMeta, PerfReport};
 
 /// Monotonic counters describing cache behaviour since the server
 /// started; snapshot into the `stats` event and the drain summary.
@@ -107,7 +104,9 @@ impl WarmCache {
         ))
     }
 
-    fn ckpt_path(&self, meta: &CbsMeta) -> PathBuf {
+    /// Where the tier-2 checkpoint for exactly `meta`'s boundary lives;
+    /// the run executor saves it there atomically.
+    pub fn checkpoint_path(&self, meta: &CbsMeta) -> PathBuf {
         self.ckpt.join(format!(
             "{:016x}--{}--w{}.cbs",
             meta.config_hash, meta.workload, meta.warmup_insts
@@ -162,31 +161,6 @@ impl WarmCache {
 
     /// `true` iff a checkpoint for exactly this boundary already exists.
     pub fn has_checkpoint(&self, meta: &CbsMeta) -> bool {
-        self.ckpt_path(meta).exists()
-    }
-
-    /// Stores a warmup-boundary checkpoint of `core`, atomically.
-    /// Failures are logged and swallowed, like [`Self::store_result`].
-    pub fn store_checkpoint<S: InstructionStream>(&self, meta: &CbsMeta, core: &Core<S>) {
-        let path = self.ckpt_path(meta);
-        let tmp = path.with_extension("cbs.tmp");
-        let outcome = (|| -> std::io::Result<()> {
-            let f = fs::File::create(&tmp)?;
-            cobra_uarch::save_checkpoint(std::io::BufWriter::new(f), meta, core)
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            fs::rename(&tmp, &path)
-        })();
-        match outcome {
-            Ok(()) => {
-                self.stats.stores.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                eprintln!(
-                    "[cobra-serve] failed to store checkpoint {}: {e}",
-                    path.display()
-                );
-            }
-        }
+        self.checkpoint_path(meta).exists()
     }
 }

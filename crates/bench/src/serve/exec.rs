@@ -11,18 +11,16 @@
 //! `resume_from_earlier_boundary_is_byte_identical` in
 //! `cobra_uarch::checkpoint`).
 
-use std::io::BufReader;
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use cobra_core::composer::Design;
-use cobra_uarch::{
-    config_hash, restore_checkpoint_resume, CbrMeta, CbsMeta, ContainerError, Core, CoreConfig,
-    PerfReport,
-};
+use cobra_uarch::{config_hash, CbrMeta, CbsMeta, CoreConfig, PerfReport};
 use cobra_workloads::ProgramSpec;
 
 use super::cache::WarmCache;
-use std::sync::atomic::Ordering;
+use crate::run::{execute, RunError, RunSpec, WarmState};
+pub use crate::run::{warmup_for, ProgressFn};
 
 /// Which cache path served a job; rendered into the `result` event and
 /// the runner provenance line.
@@ -58,21 +56,17 @@ pub struct ExecOutcome {
     pub wall_s: f64,
 }
 
-/// A committed-instruction progress callback: `(insts_done, target)`.
-pub type ProgressFn = Box<dyn FnMut(u64, u64) + Send>;
-
-/// The warmup bound for a measured region, matching the convention used
-/// everywhere else in the bench crate (`run_one_sourced`, golden tests).
-pub fn warmup_for(measure: u64) -> u64 {
-    measure * 2 / 5
-}
-
 /// Evaluates `(design, cfg, spec)` for `insts` measured instructions,
 /// consulting `cache` (when present) at both tiers and repopulating it.
 ///
 /// `progress` installs a committed-instruction callback with the given
 /// stride on any path that actually simulates (tier-1 hits produce no
 /// progress events — there is nothing to report progress *on*).
+///
+/// # Panics
+///
+/// Panics if the design fails to compose: admission gated the topology
+/// already, so that is a daemon bug, not bad input.
 pub fn execute_job(
     design: &Design,
     cfg: CoreConfig,
@@ -82,15 +76,13 @@ pub fn execute_job(
     progress: Option<(u64, ProgressFn)>,
 ) -> ExecOutcome {
     let started = Instant::now();
-    let measure = insts;
-    let warmup = warmup_for(measure);
-    let workload = spec.name.as_str();
+    let warmup = warmup_for(insts);
     let result_meta = CbrMeta {
         design: design.name.clone(),
         topology: design.topology.clone(),
         config_hash: config_hash(design, &cfg),
-        workload: workload.to_string(),
-        insts: measure,
+        workload: spec.name.clone(),
+        insts,
         warmup_insts: warmup,
     };
 
@@ -106,68 +98,55 @@ pub fn execute_job(
         }
     }
 
-    let mut core =
-        Core::new(design, cfg, spec.build()).expect("admission gated the topology already");
-    let boundary_meta = CbsMeta::for_run(design, &cfg, workload, warmup);
-
-    // Tier 2: restore the latest checkpoint at or before our warmup
-    // boundary. A failed restore may leave the core partially
-    // overwritten, so rebuild it fresh and fall through to a cold run.
+    // Tier 2: resume from the latest checkpoint at or before our warmup
+    // boundary, and checkpoint the boundary for future jobs if it is not
+    // stored yet. A failed restore falls back to one cold run.
+    let boundary = CbsMeta::for_run(design, &cfg, &spec.name, warmup);
+    let resume = cache.and_then(|c| c.resume_checkpoint(&boundary));
+    let saves = match cache {
+        Some(c) if !c.has_checkpoint(&boundary) => vec![(warmup, c.checkpoint_path(&boundary))],
+        _ => Vec::new(),
+    };
+    let run = |warm| {
+        execute(RunSpec {
+            warm,
+            saves: saves.clone(),
+            saves_best_effort: true,
+            progress: progress.clone(),
+            ..RunSpec::new(design, cfg, spec, insts)
+        })
+    };
     let mut disposition = CacheDisposition::Miss;
-    if let Some(c) = cache {
-        if let Some((path, _meta)) = c.resume_checkpoint(&boundary_meta) {
-            let restored = std::fs::File::open(&path)
-                .map_err(ContainerError::from)
-                .and_then(|f| {
-                    restore_checkpoint_resume(BufReader::new(f), &boundary_meta, &mut core)
-                });
-            match restored {
-                Ok(_stored_boundary) => {
-                    disposition = CacheDisposition::Warm;
-                    c.stats.warm.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => {
+    let outcome = match resume {
+        Some((path, _meta)) => match run(WarmState::Resume(path)) {
+            Err(e @ RunError::Checkpoint { .. }) => {
+                if let Some(c) = cache {
                     c.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "[cobra-serve] ignoring unusable checkpoint {}: {e}",
-                        path.display()
-                    );
-                    core = Core::new(design, cfg, spec.build())
-                        .expect("admission gated the topology already");
                 }
+                eprintln!("[cobra-serve] ignoring unusable checkpoint: {e}");
+                run(WarmState::Cold)
             }
-        }
-    }
-    if disposition == CacheDisposition::Miss {
-        if let Some(c) = cache {
-            c.stats.miss.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    if let Some((every, cb)) = progress {
-        core.set_progress(every, cb);
-    }
-
-    // Drive to the warmup boundary (a partial re-run from a tier-2
-    // restore, or the full warmup when cold — `Core::run` takes an
-    // absolute committed-instruction bound, so both are one call), and
-    // checkpoint the boundary for future jobs before measuring.
-    core.run(warmup, workload);
+            warm => {
+                disposition = CacheDisposition::Warm;
+                warm
+            }
+        },
+        None => run(WarmState::Cold),
+    };
+    let outcome = outcome.unwrap_or_else(|e| panic!("admission gated the job already: {e}"));
     if let Some(c) = cache {
-        if !c.has_checkpoint(&boundary_meta) {
-            c.store_checkpoint(&boundary_meta, &core);
-        }
-    }
-
-    // The internal warmup loop in run_with_warmup is a no-op: the core
-    // already stands at the boundary. This is the same call a direct run
-    // makes, so the measurement is byte-identical by construction.
-    let report = core.run_with_warmup(warmup, measure, workload);
-    if let Some(c) = cache {
-        c.store_result(&result_meta, &report);
+        let counter = match disposition {
+            CacheDisposition::Warm => &c.stats.warm,
+            _ => &c.stats.miss,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        c.stats
+            .stores
+            .fetch_add(outcome.saved.len() as u64, Ordering::Relaxed);
+        c.store_result(&result_meta, &outcome.report);
     }
     ExecOutcome {
-        report,
+        report: outcome.report,
         cache: disposition,
         wall_s: started.elapsed().as_secs_f64(),
     }

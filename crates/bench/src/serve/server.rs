@@ -622,7 +622,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             let id = job.id;
             Some((
                 stride,
-                Box::new(move |insts, _cycles| {
+                Arc::new(move |insts, _cycles| {
                     let _ = out.send(protocol::ev_progress(id, insts, target_insts));
                 }),
             ))

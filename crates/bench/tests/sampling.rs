@@ -156,3 +156,22 @@ fn cold_start_estimate_tracks_the_full_run() {
         err * 100.0
     );
 }
+
+/// `cobra-sample` takes its plans from `--plans`, so a `COBRA_SAMPLE_DIR`
+/// left in the environment is ignored — and says so on stderr, whatever
+/// `COBRA_SAMPLE_WARMUP` is set to.
+#[test]
+fn cobra_sample_notes_an_ignored_sample_dir() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cobra-sample"))
+        .args(["run", "NOPE", "gcc"])
+        .env("COBRA_SAMPLE_DIR", std::env::temp_dir())
+        .env_remove("COBRA_SAMPLE_WARMUP")
+        .output()
+        .expect("cobra-sample starts");
+    assert!(!out.status.success(), "an unknown design fails");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("note: COBRA_SAMPLE_DIR is ignored here"),
+        "stderr: {stderr}"
+    );
+}

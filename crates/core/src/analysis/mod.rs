@@ -56,7 +56,7 @@ pub use resource::{management_storage_report, ResourceReport};
 
 use crate::composer::{ComponentRegistry, Design, PredictorPipeline};
 use crate::error::ComposeError;
-use diagnostics::json_str;
+use crate::obs::json_str;
 
 /// Knobs for an analysis run.
 #[derive(Debug, Clone)]

@@ -19,12 +19,12 @@
 //! [`BranchPredictorUnit::build`]: crate::composer::BranchPredictorUnit::build
 //! [`BranchPredictorUnit::storage_by_component`]: crate::composer::BranchPredictorUnit::storage_by_component
 
-use super::diagnostics::json_str;
 use super::model::DesignModel;
 use super::AnalysisConfig;
 use crate::composer::{
     GlobalHistoryProvider, HistoryFile, LocalHistoryProvider, PathHistoryProvider,
 };
+use crate::obs::json_str;
 use crate::types::StorageReport;
 use cobra_sim::PortKind;
 

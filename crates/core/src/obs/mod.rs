@@ -37,6 +37,28 @@ use crate::types::{BranchKind, PredictionBundle, SlotPrediction, MAX_FETCH_WIDTH
 use cobra_sim::{SnapError, StateReader, StateWriter};
 use std::collections::BTreeMap;
 
+/// Escapes `s` as a JSON string literal, including the surrounding
+/// quotes. The one escaper behind every JSON writer in the workspace:
+/// trace events, analyzer reports, lint SARIF and the bench harness's
+/// records.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Sentinel provider index: no component provided the field.
 pub const NO_PROVIDER: u8 = u8::MAX;
 
