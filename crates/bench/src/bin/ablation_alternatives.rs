@@ -4,6 +4,7 @@
 //! (Section III-G: perceptrons "may be implemented similarly").
 
 use cobra_bench::runner::{run_grid, Job};
+use cobra_bench::RunConfig;
 use cobra_core::designs;
 use cobra_uarch::CoreConfig;
 use cobra_workloads::{spec17, ProgramSpec};
@@ -32,7 +33,7 @@ fn main() {
                 .map(move |d| Job::new(d, CoreConfig::boom_4wide(), spec))
         })
         .collect();
-    let grid = run_grid(&jobs);
+    let grid = run_grid(&RunConfig::from_env(), &jobs);
     for (i, w) in WORKLOADS.iter().enumerate() {
         print!("{w:<11}");
         for d in 0..alt.len() {

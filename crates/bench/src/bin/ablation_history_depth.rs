@@ -5,6 +5,7 @@
 //! TAGE's geometric tables (up to 64 bits) last.
 
 use cobra_bench::runner::{run_grid, Job};
+use cobra_bench::RunConfig;
 use cobra_core::designs;
 use cobra_uarch::CoreConfig;
 use cobra_workloads::{kernels, ProgramSpec};
@@ -28,7 +29,7 @@ fn main() {
                 .map(move |d| Job::new(d, CoreConfig::boom_4wide(), spec))
         })
         .collect();
-    let grid = run_grid(&jobs);
+    let grid = run_grid(&RunConfig::from_env(), &jobs);
     for (i, depth) in DEPTHS.iter().enumerate() {
         let mut row = format!("{depth:<7}");
         for d in 0..all_designs.len() {

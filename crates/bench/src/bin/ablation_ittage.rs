@@ -5,6 +5,7 @@
 
 use cobra_bench::pct_delta;
 use cobra_bench::runner::{run_grid, Job};
+use cobra_bench::RunConfig;
 use cobra_core::designs;
 use cobra_uarch::CoreConfig;
 use cobra_workloads::{spec17, ProgramSpec};
@@ -30,7 +31,7 @@ fn main() {
             ]
         })
         .collect();
-    let grid = run_grid(&jobs);
+    let grid = run_grid(&RunConfig::from_env(), &jobs);
     for (i, w) in WORKLOADS.iter().enumerate() {
         let base = &grid[2 * i].report;
         let it = &grid[2 * i + 1].report;

@@ -8,6 +8,7 @@
 
 use cobra_bench::pct_delta;
 use cobra_bench::runner::{run_grid, Job};
+use cobra_bench::RunConfig;
 use cobra_core::components::{Btb, BtbConfig, Hbim, HbimConfig};
 use cobra_core::composer::{ComponentRegistry, Design};
 use cobra_uarch::CoreConfig;
@@ -66,7 +67,7 @@ fn main() {
             ]
         })
         .collect();
-    let grid = run_grid(&jobs);
+    let grid = run_grid(&RunConfig::from_env(), &jobs);
     for (i, (w, _)) in specs.iter().enumerate() {
         let ss = &grid[2 * i].report;
         let pk = &grid[2 * i + 1].report;

@@ -25,7 +25,7 @@
 //! Exit status: 0 on success, 1 on a capture or verify failure, 2 on a
 //! usage error.
 
-use cobra_bench::{capture_len, capture_workload, run_insts, workload_by_name, KERNEL_NAMES};
+use cobra_bench::{capture_len, capture_workload, workload_by_name, RunConfig, KERNEL_NAMES};
 use cobra_uarch::InstructionStream;
 use cobra_workloads::{ProgramSpec, TraceProgram, SPEC17_NAMES};
 use std::path::PathBuf;
@@ -53,7 +53,7 @@ struct Options {
     verify: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+fn parse_args(args: &[String], default_insts: u64) -> Result<Option<Options>, String> {
     let mut workloads: Vec<String> = Vec::new();
     let mut all = false;
     let mut out = PathBuf::from("traces");
@@ -104,7 +104,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     Ok(Some(Options {
         workloads,
         out,
-        insts: insts.unwrap_or_else(run_insts),
+        insts: insts.unwrap_or(default_insts),
         verify,
     }))
 }
@@ -136,7 +136,7 @@ fn verify_capture(spec: &ProgramSpec, path: &std::path::Path) -> Result<u64, Str
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
+    let opts = match parse_args(&args, RunConfig::from_env().insts) {
         Ok(Some(o)) => o,
         Ok(None) => return ExitCode::SUCCESS,
         Err(e) => {

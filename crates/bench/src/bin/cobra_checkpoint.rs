@@ -29,8 +29,8 @@
 //! usage error.
 
 use cobra_bench::run::{execute, resave_checkpoint, warmup_for, RunSpec};
-use cobra_bench::runner::parallel_map;
-use cobra_bench::{ckpt_file_name, run_insts, workload_by_name, KERNEL_NAMES};
+use cobra_bench::runner::parallel_map_on;
+use cobra_bench::{ckpt_file_name, workload_by_name, RunConfig, KERNEL_NAMES};
 use cobra_core::composer::Design;
 use cobra_core::designs;
 use cobra_uarch::CoreConfig;
@@ -63,7 +63,7 @@ struct Options {
     verify: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+fn parse_args(args: &[String], insts: u64) -> Result<Option<Options>, String> {
     let mut workloads: Vec<String> = Vec::new();
     let mut design_names: Option<Vec<String>> = None;
     let mut all = false;
@@ -122,19 +122,25 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         workloads,
         designs: design_names,
         out,
-        at: at.unwrap_or_else(|| warmup_for(run_insts())),
+        at: at.unwrap_or_else(|| warmup_for(insts)),
         verify,
     }))
 }
 
 /// Runs `design` on `spec` to the warmup boundary `at` and saves the
 /// machine to `path`; returns the bytes written.
-fn save_at(design: &Design, spec: &ProgramSpec, at: u64, path: &Path) -> Result<u64, String> {
+fn save_at(
+    rc: &RunConfig,
+    design: &Design,
+    spec: &ProgramSpec,
+    at: u64,
+    path: &Path,
+) -> Result<u64, String> {
     let outcome = execute(RunSpec {
         warmup: at,
         measure: 0,
         saves: vec![(at, path.to_path_buf())],
-        ..RunSpec::new(design, CoreConfig::boom_4wide(), spec, 0)
+        ..rc.run_spec(design, CoreConfig::boom_4wide(), spec, 0)
     })
     .map_err(|e| e.to_string())?;
     Ok(outcome.saved.iter().map(|&(_, bytes)| bytes).sum())
@@ -155,7 +161,8 @@ fn verify_one(design: &Design, spec: &ProgramSpec, at: u64, path: &Path) -> Resu
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
+    let rc = RunConfig::from_env();
+    let opts = match parse_args(&args, rc.insts) {
         Ok(Some(o)) => o,
         Ok(None) => return ExitCode::SUCCESS,
         Err(e) => {
@@ -212,10 +219,10 @@ fn main() -> ExitCode {
         opts.at
     );
 
-    let results = parallel_map(&pairs, |_, (design, spec)| {
+    let results = parallel_map_on(rc.threads, &pairs, |_, (design, spec)| {
         let path = opts.out.join(ckpt_file_name(&design.name, &spec.name));
         let t0 = Instant::now();
-        let outcome = save_at(design, spec, opts.at, &path).and_then(|bytes| {
+        let outcome = save_at(&rc, design, spec, opts.at, &path).and_then(|bytes| {
             if opts.verify {
                 verify_one(design, spec, opts.at, &path)?;
             }

@@ -31,16 +31,15 @@
 //! bound), 1 on failure, 2 on a usage error.
 
 use cobra_bench::run::{execute, RunSpec};
-use cobra_bench::runner::parallel_map;
+use cobra_bench::runner::parallel_map_on;
 use cobra_bench::{
-    interval_dir, jsonv,
+    jsonv,
     jsonv::Json,
-    metrics_file_name, run_insts,
+    metrics_file_name,
     sampling::{
-        derive_plan, load_plan, plan_file_name, render_plan, run_sampled, slice_ckpt_name,
-        SamplePlan,
+        derive_plan, load_plan, plan_file_name, render_plan, sample, slice_ckpt_name, SamplePlan,
     },
-    workload_by_name,
+    workload_by_name, RunConfig,
 };
 use cobra_core::composer::Design;
 use cobra_core::designs;
@@ -84,6 +83,7 @@ check options:
   --bless          regenerate the golden file from exact full runs";
 
 struct Options {
+    rc: RunConfig,
     command: String,
     workloads: Vec<String>,
     designs: Option<Vec<String>>,
@@ -100,7 +100,7 @@ struct Options {
     bless: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+fn parse_args(args: &[String], rc: RunConfig) -> Result<Option<Options>, String> {
     let mut it = args.iter();
     let command = match it.next() {
         Some(c) if c == "-h" || c == "--help" => {
@@ -114,6 +114,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         return Err(format!("unknown command `{command}`"));
     }
     let mut o = Options {
+        rc,
         command,
         workloads: Vec::new(),
         designs: None,
@@ -244,7 +245,7 @@ fn cmd_plan(o: &Options) -> Result<(), String> {
     if o.workloads.is_empty() {
         return Err("no workloads named (try `--all`)".into());
     }
-    let metrics = o.metrics.clone().unwrap_or_else(interval_dir);
+    let metrics = o.metrics.as_ref().unwrap_or(&o.rc.interval_dir);
     let out = o.out.clone().unwrap_or_else(|| o.plans.clone());
     std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
     for w in &o.workloads {
@@ -285,6 +286,7 @@ fn cmd_plan(o: &Options) -> Result<(), String> {
 /// *short* of the boundary still fails: the workload ended early, so the
 /// plan genuinely does not match.
 fn capture_slices(
+    rc: &RunConfig,
     design: &Design,
     spec: &ProgramSpec,
     plan: &SamplePlan,
@@ -302,7 +304,7 @@ fn capture_slices(
         warmup: saves.last().map_or(0, |&(at, _)| at),
         measure: 0,
         saves,
-        ..RunSpec::new(design, CoreConfig::boom_4wide(), spec, 0)
+        ..rc.run_spec(design, CoreConfig::boom_4wide(), spec, 0)
     })
     .map_err(|e| e.to_string())?;
     Ok(outcome.saved.iter().map(|&(_, bytes)| bytes).sum())
@@ -321,9 +323,9 @@ fn cmd_ckpt(o: &Options) -> Result<bool, String> {
             jobs.push((d, spec, plan.clone()));
         }
     }
-    let results = parallel_map(&jobs, |_, (d, spec, plan)| {
+    let results = parallel_map_on(o.rc.threads, &jobs, |_, (d, spec, plan)| {
         let t0 = Instant::now();
-        let r = capture_slices(d, spec, plan, &out);
+        let r = capture_slices(&o.rc, d, spec, plan, &out);
         (r, t0.elapsed().as_secs_f64())
     });
     let mut ok = true;
@@ -347,10 +349,15 @@ fn cmd_ckpt(o: &Options) -> Result<bool, String> {
 
 /// The exact full run a plan's estimate approximates, at the plan's own
 /// warmup boundary and the current `COBRA_INSTS` measured length.
-fn run_full(design: &Design, spec: &ProgramSpec, plan: &SamplePlan) -> Result<f64, String> {
+fn run_full(
+    rc: &RunConfig,
+    design: &Design,
+    spec: &ProgramSpec,
+    plan: &SamplePlan,
+) -> Result<f64, String> {
     let outcome = execute(RunSpec {
         warmup: plan.warmup_insts,
-        ..RunSpec::new(design, CoreConfig::boom_4wide(), spec, run_insts())
+        ..rc.run_spec(design, CoreConfig::boom_4wide(), spec, rc.insts)
     })
     .map_err(|e| e.to_string())?;
     Ok(outcome.report.counters.mpki())
@@ -369,13 +376,9 @@ fn cmd_run(o: &Options) -> Result<bool, String> {
         workload_by_name(&workload).ok_or_else(|| format!("unknown workload `{workload}`"))?;
     let plan = load_plan(&o.plans.join(plan_file_name(&workload)))?;
     let t0 = Instant::now();
-    let outcome = run_sampled(
-        &design,
-        CoreConfig::boom_4wide(),
-        &spec,
-        &plan,
-        Some(&o.plans),
-    )?;
+    let (rc, cfg) = (&o.rc, CoreConfig::boom_4wide());
+    let outcome =
+        sample(rc, &design, cfg, &spec, &plan, Some(&o.plans)).map_err(|e| e.to_string())?;
     let sampled_wall = t0.elapsed().as_secs_f64();
     println!(
         "{} on {}: {} slices ({} mode), est MPKI {:.4}, est IPC {:.4}, {sampled_wall:.2}s",
@@ -388,7 +391,7 @@ fn cmd_run(o: &Options) -> Result<bool, String> {
     );
     if o.selfcheck {
         let t1 = Instant::now();
-        let full_mpki = run_full(&design, &spec, &plan)?;
+        let full_mpki = run_full(&o.rc, &design, &spec, &plan)?;
         let full_wall = t1.elapsed().as_secs_f64();
         let err = err_pct(outcome.estimate.mpki(), full_mpki);
         println!(
@@ -450,7 +453,7 @@ fn read_golden(path: &Path) -> Result<Vec<GoldenCell>, String> {
 fn cmd_bless(o: &Options) -> Result<(), String> {
     let designs = selected_designs(o)?;
     let specs = resolve_workloads(o)?;
-    let insts = run_insts();
+    let insts = o.rc.insts;
     let mut jobs = Vec::new();
     for (name, spec) in &specs {
         let plan = load_plan(&o.plans.join(plan_file_name(name)))?;
@@ -458,7 +461,10 @@ fn cmd_bless(o: &Options) -> Result<(), String> {
             jobs.push((d, spec, plan.clone()));
         }
     }
-    let results = parallel_map(&jobs, |_, (d, spec, plan)| run_full(d, spec, plan));
+    let rc = &o.rc;
+    let results = parallel_map_on(rc.threads, &jobs, |_, (d, spec, plan)| {
+        run_full(rc, d, spec, plan)
+    });
     let mut lines = Vec::new();
     for ((d, spec, _), r) in jobs.iter().zip(&results) {
         let mpki = r
@@ -494,7 +500,7 @@ fn cmd_check(o: &Options) -> Result<bool, String> {
     if golden.is_empty() {
         return Err(format!("{}: no golden cells", o.golden.display()));
     }
-    let insts = run_insts();
+    let insts = o.rc.insts;
     for c in &golden {
         if c.insts != insts {
             return Err(format!(
@@ -516,8 +522,9 @@ fn cmd_check(o: &Options) -> Result<bool, String> {
         let plan = load_plan(&o.plans.join(plan_file_name(&c.workload)))?;
         jobs.push((d, spec, plan, c));
     }
-    let results = parallel_map(&jobs, |_, (d, spec, plan, _)| {
-        run_sampled(d, CoreConfig::boom_4wide(), spec, plan, Some(&o.plans))
+    let rc = &o.rc;
+    let results = parallel_map_on(rc.threads, &jobs, |_, (d, spec, plan, _)| {
+        sample(rc, d, CoreConfig::boom_4wide(), spec, plan, Some(&o.plans))
     });
     let mut cells = Vec::new();
     let mut max_err = 0.0f64;
@@ -579,7 +586,7 @@ fn cmd_check(o: &Options) -> Result<bool, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = match parse_args(&args) {
+    let o = match parse_args(&args, RunConfig::from_env()) {
         Ok(Some(o)) => o,
         Ok(None) => return ExitCode::SUCCESS,
         Err(e) => {
@@ -588,7 +595,7 @@ fn main() -> ExitCode {
         }
     };
     // Sampled runs must not recurse into the sampled env arm.
-    if std::env::var_os("COBRA_SAMPLE_DIR").is_some() {
+    if o.rc.sample_dir.is_some() {
         eprintln!("cobra-sample: note: COBRA_SAMPLE_DIR is ignored here (plans come from --plans)");
     }
     let outcome = match o.command.as_str() {

@@ -25,9 +25,8 @@
 //! Exit status: 0 on success (for `--validate`: every member passes),
 //! 1 on failure, 2 on a usage error.
 
-use cobra_bench::run::{execute, warmup_for, RunSpec};
-use cobra_bench::runner::threads;
-use cobra_bench::sampling::{load_plan_at, plan_file_name, run_sampled};
+use cobra_bench::run::{execute, warmup_for};
+use cobra_bench::sampling::{load_plan_at, plan_file_name, sample};
 use cobra_bench::search::{
     parse_frontier_json, prune_statically, render_frontier_human, render_frontier_json, run_search,
     Candidate, SearchConfig,
@@ -35,7 +34,7 @@ use cobra_bench::search::{
 use cobra_bench::serve::client::Client;
 use cobra_bench::serve::protocol::{report_from_json, submit_line, JobTarget};
 use cobra_bench::serve::server::Listen;
-use cobra_bench::{jsonv::Json, run_insts, workload_by_name};
+use cobra_bench::{jsonv::Json, workload_by_name, RunConfig};
 use cobra_core::designs;
 use cobra_uarch::CoreConfig;
 use cobra_workloads::ProgramSpec;
@@ -169,24 +168,26 @@ fn validate_frontier(path: &Path) -> Result<bool, String> {
 /// In-process evaluation: phase-sampled when the workload has a plan
 /// under `plans`, exact full simulation otherwise.
 fn eval_local(
+    rc: &RunConfig,
     cand: &Candidate,
     specs: &[(String, ProgramSpec)],
     plans: Option<&Path>,
 ) -> Result<Vec<(String, f64)>, String> {
     let design = designs::from_topology(&cand.topology, cand.ghist_bits, cand.lhist_entries);
     let cfg = CoreConfig::boom_4wide();
-    let measure = run_insts();
+    let measure = rc.insts;
     let mut out = Vec::with_capacity(specs.len());
     for (name, spec) in specs {
         let plan_path = plans.map(|d| d.join(plan_file_name(name)));
         let mpki = match plan_path.filter(|p| p.is_file()) {
             Some(p) => {
                 let plan = load_plan_at(&p, warmup_for(measure)).map_err(|e| e.to_string())?;
-                run_sampled(&design, cfg, spec, &plan, plans)?
+                sample(rc, &design, cfg, spec, &plan, plans)
+                    .map_err(|e| e.to_string())?
                     .estimate
                     .mpki()
             }
-            None => execute(RunSpec::new(&design, cfg, spec, measure))
+            None => execute(rc.run_spec(&design, cfg, spec, measure))
                 .map_err(|e| e.to_string())?
                 .report
                 .counters
@@ -201,6 +202,7 @@ fn eval_local(
 /// (thread-safe under the search's parallel evaluation), one submit per
 /// workload.
 fn eval_serve(
+    insts: u64,
     cand: &Candidate,
     specs: &[(String, ProgramSpec)],
     listen: &Listen,
@@ -212,7 +214,6 @@ fn eval_serve(
         ghist_bits: cand.ghist_bits,
         lhist_entries: cand.lhist_entries,
     };
-    let insts = run_insts();
     let mut out = Vec::with_capacity(specs.len());
     for (name, _) in specs {
         let id = next_id.fetch_add(1, Ordering::Relaxed);
@@ -248,6 +249,7 @@ fn eval_serve(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let rc = RunConfig::from_env();
     let o = match parse_args(&args) {
         Ok(Some(o)) => o,
         Ok(None) => return ExitCode::SUCCESS,
@@ -297,7 +299,7 @@ fn main() -> ExitCode {
         o.cfg.generations,
         o.cfg.population,
         o.workloads.join(", "),
-        threads(),
+        rc.threads,
         match (&listen, &o.plans) {
             (Some(_), _) => "evaluating via cobra-serve".to_string(),
             (None, Some(p)) => format!("phase-sampled via {}", p.display()),
@@ -308,8 +310,12 @@ fn main() -> ExitCode {
     let t0 = Instant::now();
     let next_id = AtomicU64::new(1);
     let outcome = match &listen {
-        Some(l) => run_search(&o.cfg, |cand| eval_serve(cand, &specs, l, &next_id)),
-        None => run_search(&o.cfg, |cand| eval_local(cand, &specs, o.plans.as_deref())),
+        Some(l) => run_search(&o.cfg, rc.threads, |cand| {
+            eval_serve(rc.insts, cand, &specs, l, &next_id)
+        }),
+        None => run_search(&o.cfg, rc.threads, |cand| {
+            eval_local(&rc, cand, &specs, o.plans.as_deref())
+        }),
     };
     eprintln!(
         "[search] {} candidate(s) statically pruned, {} simulated, {:.1}s",

@@ -37,9 +37,8 @@ use cobra_bench::jsonv::{self, Json};
 use cobra_bench::serve::client::Client;
 use cobra_bench::serve::exec::execute_job;
 use cobra_bench::serve::protocol::{self, JobTarget};
-use cobra_bench::serve::server::{Listen, ServeConfig, Server};
-use cobra_bench::serve::{env_cache_dir, env_insts_cap, env_progress_stride, env_queue_cap};
-use cobra_bench::{run_insts, runner, workload_by_name};
+use cobra_bench::serve::server::{Listen, Server};
+use cobra_bench::{runner, workload_by_name, RunConfig};
 use cobra_core::designs;
 use cobra_uarch::CoreConfig;
 use cobra_workloads::SPEC17_NAMES;
@@ -79,31 +78,22 @@ Client modes:
 
 struct Options {
     listen: Listen,
-    threads: usize,
-    queue_cap: usize,
-    cache_dir: Option<PathBuf>,
-    insts_cap: u64,
-    progress: Option<u64>,
+    /// The `COBRA_*` knobs, with the flags below applied over them.
+    rc: RunConfig,
     bench_client: bool,
     direct: bool,
     connections: usize,
-    insts: u64,
     expect_cache: Option<String>,
     shutdown: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+fn parse_args(args: &[String], rc: RunConfig) -> Result<Option<Options>, String> {
     let mut o = Options {
         listen: Listen::parse(DEFAULT_LISTEN).expect("default listen endpoint parses"),
-        threads: runner::threads(),
-        queue_cap: env_queue_cap(),
-        cache_dir: env_cache_dir(),
-        insts_cap: env_insts_cap(),
-        progress: env_progress_stride(),
+        rc,
         bench_client: false,
         direct: false,
         connections: 2,
-        insts: run_insts(),
         expect_cache: None,
         shutdown: false,
     };
@@ -125,26 +115,32 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             }
             "--listen" => o.listen = Listen::parse(&need(&mut it, "--listen")?)?,
             "--threads" => {
-                o.threads = uint("--threads", need(&mut it, "--threads")?)?.max(1) as usize
+                o.rc.threads = uint("--threads", need(&mut it, "--threads")?)?.max(1) as usize
             }
-            "--queue" => o.queue_cap = uint("--queue", need(&mut it, "--queue")?)?.max(1) as usize,
+            "--queue" => {
+                o.rc.serve_queue = uint("--queue", need(&mut it, "--queue")?)?.max(1) as usize
+            }
             "--cache" => {
                 let v = need(&mut it, "--cache")?;
-                o.cache_dir = if v == "off" {
+                o.rc.serve_cache = if v == "off" {
                     None
                 } else {
                     Some(PathBuf::from(v))
                 };
             }
-            "--insts-cap" => o.insts_cap = uint("--insts-cap", need(&mut it, "--insts-cap")?)?,
-            "--progress" => o.progress = Some(uint("--progress", need(&mut it, "--progress")?)?),
+            "--insts-cap" => {
+                o.rc.serve_insts_cap = uint("--insts-cap", need(&mut it, "--insts-cap")?)?
+            }
+            "--progress" => {
+                o.rc.serve_progress = Some(uint("--progress", need(&mut it, "--progress")?)?)
+            }
             "--bench-client" => o.bench_client = true,
             "--direct" => o.direct = true,
             "--connections" => {
                 o.connections =
                     uint("--connections", need(&mut it, "--connections")?)?.max(1) as usize
             }
-            "--insts" => o.insts = uint("--insts", need(&mut it, "--insts")?)?.max(1),
+            "--insts" => o.rc.insts = uint("--insts", need(&mut it, "--insts")?)?.max(1),
             "--expect-cache" => {
                 let v = need(&mut it, "--expect-cache")?;
                 match v.as_str() {
@@ -180,7 +176,7 @@ fn grid() -> Vec<(String, String)> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = match parse_args(&args) {
+    let o = match parse_args(&args, RunConfig::from_env()) {
         Ok(Some(o)) => o,
         Ok(None) => return ExitCode::SUCCESS,
         Err(e) => {
@@ -233,15 +229,8 @@ fn install_signal_handlers() {
 fn install_signal_handlers() {}
 
 fn run_daemon(o: Options) -> Result<(), String> {
-    let cfg = ServeConfig {
-        listen: o.listen.clone(),
-        threads: o.threads,
-        queue_cap: o.queue_cap,
-        cache_dir: o.cache_dir.clone(),
-        insts_cap: o.insts_cap,
-        progress_stride: o.progress,
-    };
-    let server = Server::bind(cfg).map_err(|e| format!("bind failed: {e}"))?;
+    let server =
+        Server::bind_with(&o.listen, o.rc.clone()).map_err(|e| format!("bind failed: {e}"))?;
     let listen_desc = match (&o.listen, server.local_addr()) {
         (Listen::Tcp(_), Some(addr)) => format!("tcp:{addr}"),
         #[cfg(unix)]
@@ -250,9 +239,9 @@ fn run_daemon(o: Options) -> Result<(), String> {
     };
     eprintln!(
         "[cobra-serve] listening on {listen_desc} ({} workers, queue {}, cache {})",
-        o.threads,
-        o.queue_cap,
-        o.cache_dir
+        o.rc.threads,
+        o.rc.serve_queue,
+        o.rc.serve_cache
             .as_ref()
             .map_or("off".to_string(), |p| p.display().to_string())
     );
@@ -364,7 +353,7 @@ fn run_client(o: &Options) -> Result<(), String> {
         let started = std::time::Instant::now();
         let outcomes: Vec<Result<Vec<CellOutcome>, String>> =
             runner::parallel_map_on(o.connections, &assignments, |_, cells| {
-                drive_connection(&o.listen, &grid, cells, o.insts)
+                drive_connection(&o.listen, &grid, cells, o.rc.insts)
             });
         let wall = started.elapsed();
         let mut by_cell: Vec<Option<CellOutcome>> = (0..grid.len()).map(|_| None).collect();
@@ -415,10 +404,7 @@ fn run_client(o: &Options) -> Result<(), String> {
             wall.as_secs_f64(),
             summary.join(" ")
         );
-        if let Ok(path) = std::env::var("COBRA_METRICS") {
-            runner::write_metrics(&path, &metrics_lines)
-                .map_err(|e| format!("COBRA_METRICS {path}: {e}"))?;
-        }
+        runner::record_metrics(&o.rc, &metrics_lines)?;
         if mismatched > 0 {
             return Err(format!(
                 "{mismatched} job(s) missed the expected cache disposition"
@@ -450,15 +436,11 @@ fn run_client(o: &Options) -> Result<(), String> {
 
 fn run_direct(o: &Options) -> Result<(), String> {
     let grid = grid();
-    let lines = runner::parallel_map_on(o.threads, &grid, |_, (design, workload)| {
+    let lines = runner::parallel_map_on(o.rc.threads, &grid, |_, (design, workload)| {
         let design = designs::by_name(design).expect("grid uses catalog names");
         let spec = workload_by_name(workload).expect("grid uses known workloads");
         let outcome = execute_job(
-            &design,
-            CoreConfig::boom_4wide(),
-            &spec,
-            o.insts,
-            None,
+            o.rc.run_spec(&design, CoreConfig::boom_4wide(), &spec, o.rc.insts),
             None,
         );
         protocol::report_json(&outcome.report)
@@ -469,7 +451,7 @@ fn run_direct(o: &Options) -> Result<(), String> {
     eprintln!(
         "[serve-direct] {} jobs at {} insts (no daemon, no cache)",
         grid.len(),
-        o.insts
+        o.rc.insts
     );
     Ok(())
 }

@@ -24,7 +24,7 @@
 //! Exit status: 0 on success, 1 when `--selfcheck` finds a violation,
 //! 2 on a usage error.
 
-use cobra_bench::{jsonv, run_insts, runner, workload_by_name, KERNEL_NAMES};
+use cobra_bench::{jsonv, runner, workload_by_name, RunConfig, KERNEL_NAMES};
 use cobra_core::designs;
 use cobra_core::obs::trace::{TraceFormat, TraceSink};
 use cobra_core::obs::{AttributionReport, PcBlame};
@@ -471,7 +471,8 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     };
-    let measure = o.insts.unwrap_or_else(run_insts);
+    let rc = RunConfig::from_env();
+    let measure = o.insts.unwrap_or(rc.insts);
 
     let mut core = match Core::new(&design, CoreConfig::default(), spec.build()) {
         Ok(c) => c,
@@ -480,6 +481,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    core.bpu_mut().force_plan(rc.plan);
+    core.bpu_mut().force_profiler(rc.profile);
     core.bpu_mut().enable_pc_attribution();
     let node_labels: Vec<String> = {
         let sink = core.bpu().attribution();
@@ -528,7 +531,7 @@ fn main() -> ExitCode {
     if let Some(path) = &o.metrics {
         let result = runner::JobResult::new(report.clone(), wall);
         let line = runner::metrics_record("cobra-trace", &result);
-        if let Err(e) = runner::write_metrics(path, std::slice::from_ref(&line)) {
+        if let Err(e) = runner::write_metrics(path.as_ref(), std::slice::from_ref(&line)) {
             eprintln!("cobra-trace: warning: could not write --metrics {path:?}: {e}");
         }
     }

@@ -6,14 +6,15 @@
 //! significant."
 
 use cobra_area::EnergyModel;
-use cobra_bench::run_insts;
+use cobra_bench::RunConfig;
 use cobra_core::designs;
 use cobra_uarch::{Core, CoreConfig};
 use cobra_workloads::spec17;
 
 fn main() {
     let model = EnergyModel::finfet_7nm();
-    let insts = run_insts();
+    let rc = RunConfig::from_env();
+    let insts = rc.insts;
     println!("PREDICTOR ENERGY — SRAM access energy on gcc ({insts} insts)");
     for design in designs::all() {
         let mut core = Core::new(
@@ -22,6 +23,8 @@ fn main() {
             spec17::spec17("gcc").build(),
         )
         .expect("stock design composes");
+        core.bpu_mut().force_plan(rc.plan);
+        core.bpu_mut().force_profiler(rc.profile);
         let r = core.run(insts, "gcc");
         println!();
         println!("{}:", design.name);

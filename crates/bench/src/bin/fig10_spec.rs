@@ -1,13 +1,14 @@
 //! Fig 10: branch MPKI and IPC of the three COBRA-BOOM variants on the
 //! SPECint17 suite, with the commercial-core reference points.
 
-use cobra_bench::reference;
-use cobra_bench::runner::{run_grid, threads, write_grid_summary, Job};
+use cobra_bench::runner::{run_grid, write_grid_summary, Job};
+use cobra_bench::{reference, RunConfig};
 use cobra_uarch::{harmonic_mean, CoreConfig, PerfReport};
 use cobra_workloads::{spec17, ProgramSpec};
 use std::time::Instant;
 
 fn main() {
+    let rc = RunConfig::from_env();
     let all_designs = cobra_core::designs::all();
     let specs: Vec<ProgramSpec> = spec17::SPEC17_NAMES
         .iter()
@@ -23,13 +24,11 @@ fn main() {
         })
         .collect();
     let started = Instant::now();
-    let grid = run_grid(&jobs);
+    let grid = run_grid(&rc, &jobs);
     let grid_wall = started.elapsed();
     // Machine-readable companion to the stdout tables (stderr notes the
     // path): wall, MIPS, packet-path mode, and thread count per run.
-    let summary_path =
-        std::env::var("COBRA_GRID_JSON").unwrap_or_else(|_| "results/bench_fig10.json".into());
-    write_grid_summary(&summary_path, &grid, threads(), grid_wall);
+    write_grid_summary(&rc, &grid, grid_wall);
     let results: Vec<Vec<PerfReport>> = grid
         .chunks(specs.len())
         .map(|row| row.iter().map(|r| r.report.clone()).collect())

@@ -1,8 +1,8 @@
 //! Fig 9: area of the full 4-wide core with each of the three predictors.
 
 use cobra_area::{core_blocks_um2, AreaBreakdown, ProcessModel};
-use cobra_bench::bar;
-use cobra_bench::runner::parallel_map;
+use cobra_bench::runner::parallel_map_on;
+use cobra_bench::{bar, RunConfig};
 use cobra_core::composer::{BpuConfig, BranchPredictorUnit};
 use cobra_core::designs;
 use std::fmt::Write as _;
@@ -14,7 +14,8 @@ fn main() {
     // Composing a design and walking its storage is the expensive part;
     // fan it out and print the prebuilt blocks in design order.
     let all_designs = designs::all();
-    let blocks = parallel_map(&all_designs, |_, design| {
+    let threads = RunConfig::from_env().threads;
+    let blocks = parallel_map_on(threads, &all_designs, |_, design| {
         let bpu = BranchPredictorUnit::build(design, BpuConfig::default())
             .expect("stock design composes");
         let mut b = AreaBreakdown::default();

@@ -2,12 +2,13 @@
 //! in a 4-wide fetch BOOM core decreased IPC by 15 % in the Dhrystone
 //! synthetic benchmark".
 
-use cobra_bench::{pct_delta, reference, run_one};
+use cobra_bench::{pct_delta, reference, run_one_sourced, RunConfig};
 use cobra_core::designs;
 use cobra_uarch::CoreConfig;
 use cobra_workloads::kernels;
 
 fn main() {
+    let rc = RunConfig::from_env();
     println!("SECTION I — superscalar vs serialized branch prediction (Dhrystone)");
     println!(
         "{:<12} {:>14} {:>14} {:>10}",
@@ -15,10 +16,10 @@ fn main() {
     );
     for design in designs::all() {
         let spec = kernels::dhrystone();
-        let base = run_one(&design, CoreConfig::boom_4wide(), &spec);
+        let base = run_one_sourced(&rc, &design, CoreConfig::boom_4wide(), &spec, None).report;
         let mut cfg = CoreConfig::boom_4wide();
         cfg.serialize_branches = true;
-        let ser = run_one(&design, cfg, &spec);
+        let ser = run_one_sourced(&rc, &design, cfg, &spec, None).report;
         println!(
             "{:<12} {:>14.3} {:>14.3} {:>10}",
             design.name,

@@ -3,6 +3,7 @@
 //! impact and ≈1 % IPC degradation.
 
 use cobra_bench::runner::{run_grid, Job};
+use cobra_bench::RunConfig;
 use cobra_bench::{pct_delta, reference};
 use cobra_core::designs;
 use cobra_uarch::CoreConfig;
@@ -29,7 +30,7 @@ fn main() {
             ]
         })
         .collect();
-    let grid = run_grid(&jobs);
+    let grid = run_grid(&RunConfig::from_env(), &jobs);
     let mut ipc_deltas = Vec::new();
     for (i, w) in WORKLOADS.iter().enumerate() {
         let r2 = &grid[2 * i].report;

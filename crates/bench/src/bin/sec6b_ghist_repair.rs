@@ -4,6 +4,7 @@
 //! mispredicts 25 %, but cost 3 % IPC on Dhrystone.
 
 use cobra_bench::runner::{run_grid, Job};
+use cobra_bench::RunConfig;
 use cobra_bench::{pct_delta, reference};
 use cobra_core::composer::GhistRepairMode;
 use cobra_core::designs;
@@ -35,7 +36,7 @@ fn main() {
             ]
         })
         .collect();
-    let grid = run_grid(&jobs);
+    let grid = run_grid(&RunConfig::from_env(), &jobs);
 
     let mut ipc_gain = Vec::new();
     let mut miss_red = Vec::new();

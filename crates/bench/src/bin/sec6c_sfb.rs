@@ -4,6 +4,7 @@
 //! accuracy from 97 % to 99.1 % on the TAGE-L core.
 
 use cobra_bench::runner::{run_grid, Job};
+use cobra_bench::RunConfig;
 use cobra_bench::{pct_delta, reference};
 use cobra_core::designs;
 use cobra_uarch::CoreConfig;
@@ -28,7 +29,7 @@ fn main() {
             ]
         })
         .collect();
-    let grid = run_grid(&jobs);
+    let grid = run_grid(&RunConfig::from_env(), &jobs);
     for (i, design) in all_designs.iter().enumerate() {
         let base = &grid[2 * i].report;
         let sfb = &grid[2 * i + 1].report;

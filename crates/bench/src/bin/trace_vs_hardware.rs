@@ -12,8 +12,8 @@
 //! check of the CBT capture path: it must equal the direct trace column
 //! exactly, because capture preserves the instruction stream bit-for-bit.
 
-use cobra_bench::runner::parallel_map;
-use cobra_bench::{capture_workload, run_insts, run_one, warmup_for};
+use cobra_bench::runner::parallel_map_on;
+use cobra_bench::{capture_workload, run_one_sourced, warmup_for, RunConfig};
 use cobra_core::composer::Design;
 use cobra_core::designs;
 use cobra_uarch::{CoreConfig, InstructionStream, TraceSim};
@@ -47,7 +47,8 @@ fn main() {
         "{:<11} {:<11} {:>10} {:>10} {:>10} {:>10}",
         "bench", "design", "trace %", "replay %", "core %", "error"
     );
-    let insts = run_insts();
+    let rc = RunConfig::from_env();
+    let insts = rc.insts;
     let all_designs = designs::all();
     // Capture each workload once up front; every design's replay arm
     // re-reads the same file, exactly as a COBRA_TRACE_DIR grid would.
@@ -64,7 +65,7 @@ fn main() {
         .flat_map(|w| all_designs.iter().map(move |d| (*w, d)))
         .collect();
     let warmup = warmup_for(insts);
-    let cells = parallel_map(&pairs, |_, &(w, design)| {
+    let cells = parallel_map_on(rc.threads, &pairs, |_, &(w, design)| {
         let spec = spec17::spec17(w);
         // Trace-driven: perfect in-order history, no speculation.
         let trace_acc = trace_accuracy(design, &mut spec.build(), warmup, insts);
@@ -75,7 +76,7 @@ fn main() {
             TraceProgram::open(&path).unwrap_or_else(|e| panic!("replaying {w}: {e}"));
         let replay_acc = trace_accuracy(design, &mut program, warmup, insts);
         // Hardware-in-the-loop.
-        let hw = run_one(design, CoreConfig::boom_4wide(), &spec);
+        let hw = run_one_sourced(&rc, design, CoreConfig::boom_4wide(), &spec, None).report;
         (trace_acc, replay_acc, hw.counters.branch_accuracy())
     });
     let mut worst: f64 = 0.0;

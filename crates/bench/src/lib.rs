@@ -30,19 +30,21 @@
 //! | `cobra-sample` | sampling — phase-sampling plans, slice checkpoints, sampled estimates, CI accuracy gate (see [`sampling`]) |
 //! | `cobra-search` | autotuner — statically-pruned topology search emitting a Pareto frontier (see [`search`]) |
 //!
-//! Every simulation goes through one executor, [`run::execute`]: a
-//! [`RunSpec`] in, a [`RunOutcome`] or a typed [`RunError`] out. The grid
-//! binaries reach it through [`run_one_sourced`], which resolves the
-//! `COBRA_*` environment knobs (run length, trace replay, checkpoint
-//! restore, phase sampling, progress and interval telemetry) into a
-//! `RunSpec` once per job. `docs/ARCHITECTURE.md`, section "Run
-//! pipeline", lists the knobs, the `RunSpec` fields they set, the three
-//! warm-state kinds, where provenance is produced, and the `RunError`
-//! variants.
+//! Every `COBRA_*` knob is parsed once per entry point into a
+//! [`RunConfig`] ([`config`]) and passed down. Every simulation goes
+//! through one executor, [`run::execute`]: a [`RunSpec`] in, a
+//! [`RunOutcome`] or a typed [`RunError`] out. The grid binaries reach it
+//! through [`run_one_sourced`], which turns the `RunConfig` (run length,
+//! trace replay, checkpoint restore, phase sampling, progress and
+//! interval telemetry, packet path, profiler) into a `RunSpec` per job.
+//! `docs/ARCHITECTURE.md`, section "Run pipeline", lists the `RunConfig`
+//! fields, the `RunSpec` fields they set, the three warm-state kinds,
+//! where provenance is produced, and the `RunError` variants.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod config;
 pub mod jsonv;
 pub mod reference;
 pub mod run;
@@ -52,39 +54,14 @@ pub mod search;
 pub mod serve;
 pub mod timing;
 
+pub use config::RunConfig;
 pub use run::{execute, warmup_for, RunError, RunOutcome, RunSpec};
 
 use cobra_core::composer::Design;
-use cobra_uarch::{CoreConfig, PerfReport};
+use cobra_uarch::CoreConfig;
 use cobra_workloads::ProgramSpec;
 use run::{ProgressFn, WarmState};
 use std::path::{Path, PathBuf};
-
-/// Instructions per measured run (the `COBRA_INSTS` environment variable,
-/// default 500 000).
-///
-/// An unparsable value falls back to the default with a one-time warning
-/// on stderr (it used to be swallowed silently); `0` is clamped to 1 so
-/// the warm-up fraction math cannot go degenerate.
-pub fn run_insts() -> u64 {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    let n = match std::env::var("COBRA_INSTS") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => {
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: COBRA_INSTS={v:?} is not a number; \
-                         using the default of 500000"
-                    );
-                });
-                500_000
-            }
-        },
-        Err(_) => 500_000,
-    };
-    n.max(1)
-}
 
 /// The named synthetic kernels [`workload_by_name`] resolves besides the
 /// SPECint17 profiles — what `cobra-capture --list` prints and
@@ -121,115 +98,11 @@ pub fn workload_by_name(name: &str) -> Option<ProgramSpec> {
     }
 }
 
-/// [`run_one_sourced`] without a job tag, returning only the measured
-/// report.
-///
-/// # Panics
-///
-/// As [`run_one_sourced`].
-pub fn run_one(design: &Design, cfg: CoreConfig, spec: &ProgramSpec) -> PerfReport {
-    run_one_sourced(design, cfg, spec, None).report
-}
-
-/// The directory named by `COBRA_TRACE_DIR`, if set and non-empty.
-///
-/// A set-but-missing directory warns once on stderr (a typo'd path would
-/// otherwise silently run every job execution-driven) and is then treated
-/// as unset.
-pub fn trace_dir() -> Option<PathBuf> {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    env_dir("COBRA_TRACE_DIR", "running execution-driven", &WARNED)
-}
-
-/// The directory named by the environment variable `var`, if set and
-/// non-empty. A set-but-missing directory warns once (per `warned`) on
-/// stderr, naming what the run does instead (`fallback`), and is then
-/// treated as unset.
-fn env_dir(var: &str, fallback: &str, warned: &std::sync::Once) -> Option<PathBuf> {
-    let dir = std::env::var(var).ok()?;
-    let dir = dir.trim();
-    if dir.is_empty() {
-        return None;
-    }
-    let path = PathBuf::from(dir);
-    if !path.is_dir() {
-        warned.call_once(|| {
-            eprintln!("warning: {var}={dir:?} is not a directory; {fallback}");
-        });
-        return None;
-    }
-    Some(path)
-}
-
-/// The `.cbt` file a replayed run of `workload` would use
-/// (`$COBRA_TRACE_DIR/<workload>.cbt`), if `COBRA_TRACE_DIR` is set and
-/// the file exists.
-pub fn trace_path_for(workload: &str) -> Option<PathBuf> {
-    let path = trace_dir()?.join(format!("{workload}.cbt"));
-    path.is_file().then_some(path)
-}
-
-/// The directory named by `COBRA_CKPT_DIR`, if set and non-empty.
-///
-/// A set-but-missing directory warns once on stderr (a typo'd path would
-/// otherwise silently warm every job up from scratch) and is then treated
-/// as unset.
-pub fn ckpt_dir() -> Option<PathBuf> {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    env_dir("COBRA_CKPT_DIR", "warming up from scratch", &WARNED)
-}
-
-/// The directory interval-telemetry `.cbm` files are written to:
-/// `COBRA_INTERVAL_DIR` if set and non-empty, else `metrics/` under the
-/// current directory. Created on first write, not here.
-pub fn interval_dir() -> PathBuf {
-    match std::env::var("COBRA_INTERVAL_DIR") {
-        Ok(d) if !d.trim().is_empty() => PathBuf::from(d.trim()),
-        _ => PathBuf::from("metrics"),
-    }
-}
-
 /// The file name an interval-telemetry stream of `design` on `workload`
 /// uses: `<design>--<workload>.cbm` (same double-dash convention as
 /// [`ckpt_file_name`]).
 pub fn metrics_file_name(design: &str, workload: &str) -> String {
     format!("{design}--{workload}.cbm")
-}
-
-/// The directory named by `COBRA_SAMPLE_DIR`, if set and non-empty.
-///
-/// Holds `<workload>.plan.json` sampling plans (and, optionally,
-/// `<design>--<workload>--s<seq>.cbs` slice checkpoints) written by
-/// `cobra-sample`. A set-but-missing directory warns once on stderr (a
-/// typo'd path would otherwise silently run every job exact) and is then
-/// treated as unset.
-pub fn sample_dir() -> Option<PathBuf> {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    env_dir("COBRA_SAMPLE_DIR", "running exact", &WARNED)
-}
-
-/// The `COBRA_PROGRESS` heartbeat period in committed instructions, if
-/// set and positive. An unparsable value warns once on stderr and
-/// disables the heartbeat.
-pub fn progress_every() -> Option<u64> {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    let v = std::env::var("COBRA_PROGRESS").ok()?;
-    let v = v.trim();
-    if v.is_empty() {
-        return None;
-    }
-    match v.replace('_', "").parse::<u64>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => {
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: COBRA_PROGRESS={v:?} is not a positive integer; \
-                     heartbeat off"
-                );
-            });
-            None
-        }
-    }
 }
 
 /// The file name a checkpoint of `design` on `workload` uses:
@@ -239,28 +112,26 @@ pub fn ckpt_file_name(design: &str, workload: &str) -> String {
     format!("{design}--{workload}.cbs")
 }
 
-/// The `.cbs` file a restored run of `design` on `workload` would use
-/// (`$COBRA_CKPT_DIR/<design>--<workload>.cbs`), if `COBRA_CKPT_DIR` is
-/// set and the file exists.
-pub fn ckpt_path_for(design: &str, workload: &str) -> Option<PathBuf> {
-    let path = ckpt_dir()?.join(ckpt_file_name(design, workload));
+/// `dir/name`, if `dir` is set and the file exists.
+fn existing(dir: Option<&Path>, name: &str) -> Option<PathBuf> {
+    let path = dir?.join(name);
     path.is_file().then_some(path)
 }
 
-/// Runs one grid job: the `COBRA_*` knobs resolved into a [`RunSpec`]
-/// and handed to [`execute`]. `tag` is substituted into any
-/// `COBRA_TRACE`-attached tracer's output path, so concurrent grid jobs
-/// write to distinct, deterministic files.
+/// Runs one grid job: `rc` turned into a [`RunSpec`] and handed to
+/// [`execute`]. `tag` is substituted into any `COBRA_TRACE`-attached
+/// tracer's output path, so concurrent grid jobs write to distinct,
+/// deterministic files.
 ///
-/// With `COBRA_SAMPLE_DIR` holding a `<workload>.plan.json`, the job is
-/// estimated from the plan's slices. Otherwise, with `COBRA_TRACE_DIR`
+/// With `rc.sample_dir` holding a `<workload>.plan.json`, the job is
+/// estimated from the plan's slices. Otherwise, with `rc.trace_dir`
 /// holding a `<workload>.cbt`, the core replays the captured trace, and
-/// with `COBRA_CKPT_DIR` holding a `<design>--<workload>.cbs`, it skips
-/// its warm-up by restoring the checkpoint. Replay and restore give
+/// with `rc.ckpt_dir` holding a `<design>--<workload>.cbs`, it skips its
+/// warm-up by restoring the checkpoint. Replay and restore give
 /// byte-identical reports; workloads without a trace or checkpoint
 /// quietly run execution-driven and cold, which keeps partially captured
-/// grids runnable and stdout stable. `COBRA_PROGRESS` and
-/// `COBRA_INTERVAL` arm the stderr heartbeat and the `.cbm` telemetry.
+/// grids runnable and stdout stable. `rc.progress` and `rc.interval` arm
+/// the stderr heartbeat and the `.cbm` telemetry.
 ///
 /// # Panics
 ///
@@ -269,27 +140,29 @@ pub fn ckpt_path_for(design: &str, workload: &str) -> Option<PathBuf> {
 /// or of another identity or boundary (a fatal configuration error). The
 /// message names the environment variable and the file.
 pub fn run_one_sourced(
+    rc: &RunConfig,
     design: &Design,
     cfg: CoreConfig,
     spec: &ProgramSpec,
     tag: Option<&str>,
 ) -> RunOutcome {
-    let measure = run_insts();
-    let base = RunSpec::new(design, cfg, spec, measure);
-    let sample_dir = sample_dir();
-    let plan = sample_dir
-        .as_ref()
-        .map(|dir| dir.join(sampling::plan_file_name(&spec.name)))
-        .filter(|path| path.is_file());
+    let base = rc.run_spec(design, cfg, spec, rc.insts);
+    let sample_dir = rc.sample_dir.as_deref();
+    let plan = existing(sample_dir, &sampling::plan_file_name(&spec.name));
     let outcome = match &plan {
-        Some(path) => sampled(base, path, sample_dir.as_deref()),
+        Some(path) => sampled(rc, base, path, sample_dir),
         None => execute(RunSpec {
-            trace: trace_path_for(&spec.name),
-            warm: ckpt_path_for(&design.name, &spec.name)
-                .map_or(WarmState::Cold, WarmState::Restore),
+            trace: existing(rc.trace_dir.as_deref(), &format!("{}.cbt", spec.name)),
+            warm: existing(
+                rc.ckpt_dir.as_deref(),
+                &ckpt_file_name(&design.name, &spec.name),
+            )
+            .map_or(WarmState::Cold, WarmState::Restore),
             tag,
-            progress: progress_every().map(|every| (every, heartbeat(tag, base.warmup + measure))),
-            interval: cobra_core::obs::interval::interval_n().map(|n| (n, interval_dir())),
+            progress: rc
+                .progress
+                .map(|every| (every, heartbeat(tag, base.warmup + rc.insts))),
+            interval: rc.interval.map(|n| (n, rc.interval_dir.clone())),
             ..base
         }),
     };
@@ -307,13 +180,14 @@ pub fn run_one_sourced(
 /// `run`'s measured region estimated under the plan at `path`, from the
 /// slice checkpoints in `slice_dir` when every one is there.
 fn sampled(
+    rc: &RunConfig,
     run: RunSpec<'_>,
     path: &Path,
     slice_dir: Option<&Path>,
 ) -> Result<RunOutcome, RunError> {
     let started = std::time::Instant::now();
     let plan = sampling::load_plan_at(path, run.warmup)?;
-    let sampled = sampling::sample(run.design, run.cfg, run.spec, &plan, slice_dir)?;
+    let sampled = sampling::sample(rc, run.design, run.cfg, run.spec, &plan, slice_dir)?;
     Ok(RunOutcome {
         sampled: Some(format!("{}:{}", sampled.mode.as_str(), path.display())),
         ..RunOutcome::new(sampled.report, started.elapsed())
@@ -404,12 +278,5 @@ mod tests {
         assert_eq!(pct_delta(1.15, 1.0), "+15.0%");
         assert_eq!(pct_delta(0.97, 1.0), "-3.0%");
         assert_eq!(pct_delta(1.0, 0.0), "n/a");
-    }
-
-    #[test]
-    fn run_insts_defaults() {
-        // Do not set the env var here (tests run in parallel); just check
-        // the default path parses.
-        assert!(run_insts() >= 1000);
     }
 }

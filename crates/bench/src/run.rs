@@ -3,8 +3,9 @@
 //! from. The grid runner, `cobra-serve`, every sampled slice and the
 //! capture tools all call [`execute`]; a bad trace or checkpoint comes
 //! back as a typed [`RunError`], never a panic. The executor reads
-//! none of the harness's `COBRA_*` knobs: callers resolve them into the
-//! [`RunSpec`] (`docs/ARCHITECTURE.md`, "Run pipeline").
+//! none of the harness's `COBRA_*` knobs: callers resolve them into a
+//! [`RunConfig`](crate::RunConfig) and from it the [`RunSpec`]
+//! (`docs/ARCHITECTURE.md`, "Run pipeline").
 
 use cobra_core::composer::Design;
 use cobra_core::ComposeError;
@@ -31,6 +32,7 @@ pub fn warmup_for(measure: u64) -> u64 {
 pub type ProgressFn = Arc<dyn Fn(u64, u64) + Send + Sync>;
 
 /// How the machine reaches its warm-up boundary.
+#[derive(Clone)]
 pub enum WarmState {
     /// Simulate the warm-up from instruction zero.
     Cold,
@@ -42,8 +44,10 @@ pub enum WarmState {
     Resume(PathBuf),
 }
 
-/// Everything one run needs. Build one with [`RunSpec::new`] and override
+/// Everything one run needs. Build one with [`RunSpec::new`] (or
+/// [`RunConfig::run_spec`](crate::RunConfig::run_spec)) and override
 /// fields with struct-update syntax.
+#[derive(Clone)]
 pub struct RunSpec<'a> {
     /// The predictor design to compose.
     pub design: &'a Design,
@@ -76,11 +80,16 @@ pub struct RunSpec<'a> {
     /// Interval telemetry: the interval length and the directory the
     /// `<design>--<workload>.cbm` goes to. `None` leaves it off.
     pub interval: Option<(u64, PathBuf)>,
+    /// `false` selects the reference interpreter (same reports).
+    pub plan: bool,
+    /// Arms the plan-node self-profiler (a stderr table at teardown).
+    pub profile: bool,
 }
 
 impl<'a> RunSpec<'a> {
     /// A cold, generated, untelemetered run of `measure` instructions
-    /// after the standard [`warmup_for`] boundary.
+    /// after the standard [`warmup_for`] boundary, on the compiled plan
+    /// with the profiler off.
     pub fn new(design: &'a Design, cfg: CoreConfig, spec: &'a ProgramSpec, measure: u64) -> Self {
         Self {
             design,
@@ -95,6 +104,8 @@ impl<'a> RunSpec<'a> {
             tag: None,
             progress: None,
             interval: None,
+            plan: true,
+            profile: false,
         }
     }
 }
@@ -319,11 +330,15 @@ pub(crate) fn execute_on<S: InstructionStream>(
         tag,
         progress,
         interval,
+        plan,
+        profile,
         ..
     } = run;
     let workload = spec.name.as_str();
     let identity = |at: u64| CbsMeta::for_run(design, &cfg, workload, at);
     let mut core = compose(design, cfg, stream)?;
+    core.bpu_mut().force_plan(plan);
+    core.bpu_mut().force_profiler(profile);
     if let Some(tag) = tag {
         core.bpu_mut().retarget_env_tracer(tag);
     }

@@ -5,15 +5,15 @@
 //! parallel work the paper itself distributes across FireSim FPGA
 //! instances (Section V). This module fans the grid out across OS threads:
 //!
-//! * [`parallel_map`] — deterministic-order parallel map over a slice,
+//! * [`parallel_map_on`] — deterministic-order parallel map over a slice,
 //!   using [`std::thread::scope`] plus an atomic work-queue index (no
 //!   external dependencies);
 //! * [`run_grid`] — the simulation-shaped convenience: a slice of
 //!   [`Job`]s in, a [`JobResult`] per job out (same order), each with the
 //!   [`PerfReport`](cobra_uarch::PerfReport), its wall-clock time, and simulated MIPS.
 //!
-//! Thread count comes from the `COBRA_THREADS` environment variable
-//! (default: available hardware parallelism). Results are returned in job
+//! Thread count comes from [`RunConfig::threads`] (`COBRA_THREADS`,
+//! default: available hardware parallelism). Results are returned in job
 //! order regardless of completion order, and each job is a fully
 //! independent seeded simulation, so the printed report rows are
 //! byte-identical whatever the thread count — the determinism test in
@@ -27,38 +27,15 @@
 //! Setting `COBRA_METRICS=<path>` additionally appends one JSONL record
 //! per job (same id, in job order) once the grid completes.
 
-use crate::{jsonv, run_one_sourced};
+use crate::{jsonv, run_one_sourced, RunConfig};
 use cobra_core::composer::Design;
 use cobra_uarch::CoreConfig;
 use cobra_workloads::ProgramSpec;
 use std::io::Write;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Worker threads to use: `COBRA_THREADS` if set (clamped to ≥ 1), else
-/// the machine's available parallelism.
-pub fn threads() -> usize {
-    match std::env::var("COBRA_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => n.max(1),
-            Err(_) => {
-                eprintln!(
-                    "[runner] warning: COBRA_THREADS={v:?} is not a number; \
-                     using available parallelism"
-                );
-                default_threads()
-            }
-        },
-        Err(_) => default_threads(),
-    }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 /// Applies `f` to every item of `items` across `threads` OS threads,
 /// returning the results in item order regardless of completion order.
@@ -106,16 +83,6 @@ where
         .collect()
 }
 
-/// [`parallel_map_on`] with the [`threads`] default.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_on(threads(), items, f)
-}
-
 /// One cell of an experiment grid: a design, a core configuration, and a
 /// workload.
 pub struct Job<'a> {
@@ -144,16 +111,30 @@ impl<'a> Job<'a> {
 /// daemon ran).
 pub use crate::run::RunOutcome as JobResult;
 
-/// Runs `jobs` on `threads` worker threads. Results come back in job
-/// order; each row is bit-identical to what a serial loop over
-/// [`run_one`](crate::run_one) would produce.
+/// [`run_grid`] on `threads` worker threads, every other knob resolved
+/// from the environment here (the entry point for in-process drivers).
 pub fn run_grid_on(threads: usize, jobs: &[Job<'_>]) -> Vec<JobResult> {
+    run_grid(
+        &RunConfig {
+            threads,
+            ..RunConfig::from_env()
+        },
+        jobs,
+    )
+}
+
+/// Runs `jobs` under `rc` on `rc.threads` worker threads. Results come
+/// back in job order; each row is bit-identical to what a serial loop
+/// over [`run_one_sourced`] would produce.
+pub fn run_grid(rc: &RunConfig, jobs: &[Job<'_>]) -> Vec<JobResult> {
+    let threads = rc.threads;
     let total = jobs.len();
     let started = Instant::now();
     let done = AtomicUsize::new(0);
     let results = parallel_map_on(threads, jobs, |i, job| {
         let tag = job_id(i);
         let r = run_one_sourced(
+            rc,
             job.design,
             job.cfg,
             job.spec,
@@ -172,17 +153,13 @@ pub fn run_grid_on(threads: usize, jobs: &[Job<'_>]) -> Vec<JobResult> {
         );
         r
     });
-    if let Ok(path) = std::env::var("COBRA_METRICS") {
-        if !path.trim().is_empty() {
-            let lines: Vec<String> = results
-                .iter()
-                .enumerate()
-                .map(|(i, r)| metrics_record(&job_id(i), r))
-                .collect();
-            if let Err(e) = write_metrics(path.trim(), &lines) {
-                eprintln!("[runner] warning: could not write COBRA_METRICS={path:?}: {e}");
-            }
-        }
+    let lines: Vec<String> = results
+        .iter()
+        .enumerate()
+        .map(|(i, r)| metrics_record(&job_id(i), r))
+        .collect();
+    if let Err(e) = record_metrics(rc, &lines) {
+        eprintln!("[runner] warning: could not write {e}");
     }
     let wall = started.elapsed().as_secs_f64();
     let insts: u64 = results
@@ -205,12 +182,6 @@ pub fn run_grid_on(threads: usize, jobs: &[Job<'_>]) -> Vec<JobResult> {
     results
 }
 
-/// [`run_grid_on`] with the [`threads`] default — what the harness
-/// binaries call.
-pub fn run_grid(jobs: &[Job<'_>]) -> Vec<JobResult> {
-    run_grid_on(threads(), jobs)
-}
-
 /// The stable id of grid position `i` (`job00`, `job01`, …) — the tag on
 /// the stderr progress line, the `COBRA_TRACE` file-name context, and the
 /// `job` field of each metrics record.
@@ -218,21 +189,13 @@ pub fn job_id(i: usize) -> String {
     format!("job{i:02}")
 }
 
-/// The packet-path mode the next composed pipeline will use, as a stable
-/// string for machine-readable output: `"plan"` (compiled execution plan)
-/// or `"interpreter"` (`COBRA_PLAN=off`).
-pub fn packet_path_mode() -> &'static str {
-    if cobra_core::composer::plan_env_enabled() {
-        "plan"
-    } else {
-        "interpreter"
-    }
-}
-
-/// A machine-readable summary of a finished grid: total wall clock,
-/// aggregate MIPS, packet-path mode, thread count, and one record per
-/// job. What the fig10 harness writes to `results/bench_fig10.json`.
-pub fn grid_summary_json(results: &[JobResult], threads: usize, wall: Duration) -> String {
+/// Writes a machine-readable summary of a grid run under `rc` to
+/// `rc.grid_json` (what the fig10 harness writes to
+/// `results/bench_fig10.json`): total wall clock, aggregate MIPS,
+/// packet-path mode (`"plan"`, or `"interpreter"` under `COBRA_PLAN=off`),
+/// thread count, and one record per job. Failures are reported to stderr
+/// but never fail the run — the tables on stdout are the primary artifact.
+pub fn write_grid_summary(rc: &RunConfig, results: &[JobResult], wall: Duration) {
     let insts: u64 = results
         .iter()
         .map(|r| r.report.counters.committed_insts)
@@ -248,27 +211,22 @@ pub fn grid_summary_json(results: &[JobResult], threads: usize, wall: Duration) 
         .enumerate()
         .map(|(i, r)| format!("  {}", metrics_record(&job_id(i), r)))
         .collect();
-    format!(
-        "{{\n\"mode\":{},\n\"threads\":{threads},\n\"jobs_n\":{},\n\"wall_s\":{wall_s:.6},\n\
+    let json = format!(
+        "{{\n\"mode\":{},\n\"threads\":{},\n\"jobs_n\":{},\n\"wall_s\":{wall_s:.6},\n\
          \"aggregate_mips\":{mips:.3},\n\"insts\":{insts},\n\"jobs\":[\n{}\n]\n}}",
-        jsonv::escape(packet_path_mode()),
+        jsonv::escape(if rc.plan { "plan" } else { "interpreter" }),
+        rc.threads,
         results.len(),
         jobs.join(",\n")
-    )
-}
-
-/// Writes [`grid_summary_json`] to `path`, creating parent directories as
-/// needed. Failures are reported to stderr but never fail the run — the
-/// tables on stdout are the primary artifact.
-pub fn write_grid_summary(path: &str, results: &[JobResult], threads: usize, wall: Duration) {
-    let json = grid_summary_json(results, threads, wall);
+    );
+    let path = rc.grid_json.display();
     let write = || -> std::io::Result<()> {
-        if let Some(parent) = std::path::Path::new(path).parent() {
+        if let Some(parent) = rc.grid_json.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        std::fs::write(path, json.as_bytes())?;
+        std::fs::write(&rc.grid_json, json.as_bytes())?;
         Ok(())
     };
     match write() {
@@ -327,6 +285,21 @@ pub fn metrics_record(job_id: &str, r: &JobResult) -> String {
     )
 }
 
+/// Appends `lines` to the `COBRA_METRICS` file, if `rc` names one (the
+/// grid runner's and `cobra-serve --bench-client`'s metrics step).
+///
+/// # Errors
+///
+/// The [`write_metrics`] error, as `COBRA_METRICS="<path>": <error>`.
+pub fn record_metrics(rc: &RunConfig, lines: &[String]) -> Result<(), String> {
+    match &rc.metrics {
+        Some(path) => {
+            write_metrics(path, lines).map_err(|e| format!("COBRA_METRICS={path:?}: {e}"))
+        }
+        None => Ok(()),
+    }
+}
+
 /// Appends `lines` (one JSONL record each) to `path`, creating parent
 /// directories and the file as needed.
 ///
@@ -334,8 +307,8 @@ pub fn metrics_record(job_id: &str, r: &JobResult) -> String {
 ///
 /// Returns the underlying I/O error if the file cannot be created or
 /// written.
-pub fn write_metrics(path: &str, lines: &[String]) -> std::io::Result<()> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
+pub fn write_metrics(path: &Path, lines: &[String]) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
@@ -449,9 +422,10 @@ mod tests {
     }
 
     #[test]
-    fn thread_env_parsing_clamps() {
-        // Cannot mutate the environment safely in parallel tests; exercise
-        // only the default path.
-        assert!(threads() >= 1);
+    fn empty_metrics_knob_writes_nothing() {
+        let (rc, _) = RunConfig::from_vars(|k| (k == "COBRA_METRICS").then(String::new));
+        assert_eq!(rc.metrics, None);
+        let lines = vec!["{\"job\":\"job00\"}".to_string()];
+        record_metrics(&rc, &lines).expect("an empty COBRA_METRICS is unset");
     }
 }

@@ -35,6 +35,7 @@
 
 use crate::jsonv::{self, Json};
 use crate::run::{execute, execute_on, RunError, RunSpec, WarmState};
+use crate::RunConfig;
 use cobra_core::obs::interval::HostCounters;
 use cobra_sim::SplitMix64;
 use cobra_uarch::{CbmFile, CoreConfig, PerfCounters, PerfReport, SkipStream};
@@ -528,28 +529,6 @@ pub fn load_plan_at(path: &Path, warmup: u64) -> Result<SamplePlan, RunError> {
     Ok(plan)
 }
 
-/// Per-slice cold-start warmup instructions: `COBRA_SAMPLE_WARMUP` if
-/// set, else twice the plan's interval length. Clamped further by each
-/// slice's distance from the shared-cursor position.
-pub fn sample_warmup(interval_n: u64) -> u64 {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    match std::env::var("COBRA_SAMPLE_WARMUP") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => {
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: COBRA_SAMPLE_WARMUP={v:?} is not a number; \
-                         using 2x the interval length"
-                    );
-                });
-                interval_n * 2
-            }
-        },
-        Err(_) => interval_n * 2,
-    }
-}
-
 /// How [`run_sampled`] reached each slice's start boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleMode {
@@ -595,6 +574,9 @@ pub struct SampledOutcome {
 /// cold-start (mixed provenance would make the estimate hard to reason
 /// about, so the choice is all-or-nothing per evaluation).
 ///
+/// The knobs (`COBRA_SAMPLE_WARMUP`, `COBRA_PLAN`, `COBRA_PROFILE`) are
+/// resolved from the environment here, for in-process drivers.
+///
 /// # Errors
 ///
 /// Composition failures, checkpoint identity/decode errors, and plans
@@ -606,11 +588,17 @@ pub fn run_sampled(
     plan: &SamplePlan,
     ckpt_dir: Option<&Path>,
 ) -> Result<SampledOutcome, String> {
-    sample(design, cfg, spec, plan, ckpt_dir).map_err(|e| e.to_string())
+    sample(&RunConfig::from_env(), design, cfg, spec, plan, ckpt_dir).map_err(|e| e.to_string())
 }
 
-/// [`run_sampled`] with a typed error, for the grid's sampled jobs.
-pub(crate) fn sample(
+/// [`run_sampled`] under `rc` (its `sample_warmup`, `plan` and
+/// `profile`), with a typed error.
+///
+/// # Errors
+///
+/// As [`run_sampled`].
+pub fn sample(
+    rc: &RunConfig,
     design: &cobra_core::composer::Design,
     cfg: CoreConfig,
     spec: &ProgramSpec,
@@ -632,7 +620,7 @@ pub(crate) fn sample(
                 warm: WarmState::Restore(path),
                 warmup: s.start_inst,
                 measure: s.len,
-                ..RunSpec::new(design, cfg, spec, s.len)
+                ..rc.run_spec(design, cfg, spec, s.len)
             })?;
             deltas.push(outcome.report.counters.to_host());
         }
@@ -640,11 +628,11 @@ pub(crate) fn sample(
     } else {
         // Cold start: slices share one generator (ascending
         // `start_inst`); each fast-forwards the shared cursor, warms up
-        // for up to `sample_warmup` instructions, then measures. A slice
+        // for up to `rc.sample_warmup` instructions, then measures. A slice
         // the shared cursor has already overrun (fetch read-ahead can
         // overshoot a tightly following boundary) gets a private
         // generator from instruction zero.
-        let warmup_req = sample_warmup(plan.interval_n);
+        let warmup_req = rc.sample_warmup.unwrap_or(plan.interval_n * 2);
         let mut shared = spec.build();
         let mut consumed = 0u64;
         for s in &plan.slices {
@@ -659,7 +647,7 @@ pub(crate) fn sample(
             let run = RunSpec {
                 warmup: s.start_inst - warm_start,
                 measure: s.len,
-                ..RunSpec::new(design, cfg, spec, s.len)
+                ..rc.run_spec(design, cfg, spec, s.len)
             };
             deltas.push(execute_on(run, &mut stream)?.report.counters.to_host());
             if !overrun {

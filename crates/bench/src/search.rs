@@ -26,14 +26,14 @@
 //! Everything is deterministic for a fixed seed: candidate pools are
 //! sorted by a canonical key before the seeded PRNG subsamples them,
 //! evaluation runs through the order-preserving
-//! [`runner::parallel_map`](crate::runner::parallel_map), and ties break
+//! [`runner::parallel_map_on`](crate::runner::parallel_map_on), and ties break
 //! on the key. Two runs with the same seed and budget produce the same
 //! frontier, bit for bit — the property the CI search-smoke leg diffs.
 //!
 //! [`AnalysisReport::total_storage_kb`]: cobra_core::analysis::AnalysisReport::total_storage_kb
 
 use crate::jsonv::{self, Json};
-use crate::runner::parallel_map;
+use crate::runner::parallel_map_on;
 use cobra_core::analysis::{gate_topology, AnalysisReport, Severity};
 use cobra_core::composer::{mutate, ComponentRegistry, Topology};
 use cobra_core::designs;
@@ -247,13 +247,15 @@ pub fn catalog_seeds() -> Vec<Candidate> {
         .collect()
 }
 
-/// Runs the beam search. `evaluate` maps one statically-accepted
-/// candidate to its per-workload MPKI; an `Err` drops the candidate with
-/// a warning on stderr (a workload whose plan is missing, a serve
-/// connection refused) without aborting the search.
+/// Runs the beam search, evaluating on `threads` worker threads.
+/// `evaluate` maps one statically-accepted candidate to its per-workload
+/// MPKI; an `Err` drops the candidate with a warning on stderr (a
+/// workload whose plan is missing, a serve connection refused) without
+/// aborting the search.
 ///
-/// Deterministic for a fixed `(cfg, evaluate)`: see the module docs.
-pub fn run_search<F>(cfg: &SearchConfig, evaluate: F) -> SearchOutcome
+/// Deterministic for a fixed `(cfg, evaluate)` at any thread count: see
+/// the module docs.
+pub fn run_search<F>(cfg: &SearchConfig, threads: usize, evaluate: F) -> SearchOutcome
 where
     F: Fn(&Candidate) -> Result<Vec<(String, f64)>, String> + Sync,
 {
@@ -296,7 +298,7 @@ where
         }
         // Evaluate in parallel; order-preserving, so the archive order
         // (and everything downstream) is thread-count independent.
-        let results = parallel_map(&accepted, |_, (cand, _)| evaluate(cand));
+        let results = parallel_map_on(threads, &accepted, |_, (cand, _)| evaluate(cand));
         for ((cand, report), result) in accepted.into_iter().zip(results) {
             evaluated += 1;
             match result {
@@ -569,8 +571,8 @@ mod tests {
             let score = c.topology.len() as f64 / 10.0 + c.ghist_bits as f64 / 100.0;
             Ok(vec![("fake".into(), score)])
         };
-        let a = run_search(&cfg, fake);
-        let b = run_search(&cfg, fake);
+        let a = run_search(&cfg, 2, fake);
+        let b = run_search(&cfg, 2, fake);
         assert_eq!(
             render_frontier_json(&cfg, &a),
             render_frontier_json(&cfg, &b)

@@ -14,9 +14,7 @@
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use cobra_core::composer::Design;
-use cobra_uarch::{config_hash, CbrMeta, CbsMeta, CoreConfig, PerfReport};
-use cobra_workloads::ProgramSpec;
+use cobra_uarch::{config_hash, CbrMeta, CbsMeta, PerfReport};
 
 use super::cache::WarmCache;
 use crate::run::{execute, RunError, RunSpec, WarmState};
@@ -56,27 +54,29 @@ pub struct ExecOutcome {
     pub wall_s: f64,
 }
 
-/// Evaluates `(design, cfg, spec)` for `insts` measured instructions,
-/// consulting `cache` (when present) at both tiers and repopulating it.
+/// Evaluates `job`, a cold generated run of the job's identity (design,
+/// core configuration, workload and measured length), consulting `cache`
+/// (when present) at both tiers and repopulating it: the cache chooses
+/// the run's warm state and saves.
 ///
-/// `progress` installs a committed-instruction callback with the given
-/// stride on any path that actually simulates (tier-1 hits produce no
-/// progress events — there is nothing to report progress *on*).
+/// `job.progress` fires on any path that actually simulates (tier-1 hits
+/// produce no progress events — there is nothing to report progress
+/// *on*).
 ///
 /// # Panics
 ///
 /// Panics if the design fails to compose: admission gated the topology
 /// already, so that is a daemon bug, not bad input.
-pub fn execute_job(
-    design: &Design,
-    cfg: CoreConfig,
-    spec: &ProgramSpec,
-    insts: u64,
-    cache: Option<&WarmCache>,
-    progress: Option<(u64, ProgressFn)>,
-) -> ExecOutcome {
+pub fn execute_job(job: RunSpec<'_>, cache: Option<&WarmCache>) -> ExecOutcome {
     let started = Instant::now();
-    let warmup = warmup_for(insts);
+    let RunSpec {
+        design,
+        cfg,
+        spec,
+        measure: insts,
+        warmup,
+        ..
+    } = job;
     let result_meta = CbrMeta {
         design: design.name.clone(),
         topology: design.topology.clone(),
@@ -112,8 +112,7 @@ pub fn execute_job(
             warm,
             saves: saves.clone(),
             saves_best_effort: true,
-            progress: progress.clone(),
-            ..RunSpec::new(design, cfg, spec, insts)
+            ..job.clone()
         })
     };
     let mut disposition = CacheDisposition::Miss;

@@ -43,7 +43,8 @@ use super::protocol::{
     self, JobTarget, Request, SubmitReq, E_DRAINING, E_INSTS, E_PARSE, E_QUEUE_FULL, E_TOPOLOGY,
     E_WORKLOAD,
 };
-use crate::workload_by_name;
+use crate::run::RunSpec;
+use crate::{workload_by_name, RunConfig};
 
 /// Where the daemon listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,10 +163,8 @@ struct Shared {
     /// EMA of job wall time in milliseconds, seeding `retry_after_ms`.
     ema_wall_ms: AtomicU64,
     cache: Option<WarmCache>,
-    queue_cap: usize,
-    insts_cap: u64,
-    threads: usize,
-    progress_stride: Option<u64>,
+    /// The daemon's knobs (see [`Server::bind_with`]).
+    rc: RunConfig,
 }
 
 impl Shared {
@@ -181,7 +180,7 @@ impl Shared {
             q.total,
             self.jobs_running.load(Ordering::Relaxed),
             self.jobs_done.load(Ordering::Relaxed),
-            self.threads
+            self.rc.threads
         )
     }
 }
@@ -257,17 +256,37 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listen endpoint and opens the cache (if configured).
+    /// [`bind_with`](Self::bind_with) `cfg` over the other knobs, resolved
+    /// from the environment here (the entry point for in-process drivers).
+    ///
+    /// # Errors
+    ///
+    /// As [`bind_with`](Self::bind_with).
+    pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
+        let rc = RunConfig {
+            threads: cfg.threads,
+            serve_queue: cfg.queue_cap,
+            serve_cache: cfg.cache_dir,
+            serve_insts_cap: cfg.insts_cap,
+            serve_progress: cfg.progress_stride,
+            ..RunConfig::from_env()
+        };
+        Self::bind_with(&cfg.listen, rc)
+    }
+
+    /// Binds `listen` and opens `rc.serve_cache` (if set). `rc` also sets
+    /// the pool size, queue bound, caps, progress stride, the `insts` of
+    /// jobs that name none, and every job's packet path and profiler.
     ///
     /// # Errors
     ///
     /// Bind or cache-directory failures.
-    pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
-        let cache = match &cfg.cache_dir {
+    pub fn bind_with(listen: &Listen, rc: RunConfig) -> std::io::Result<Server> {
+        let cache = match &rc.serve_cache {
             Some(dir) => Some(WarmCache::open(dir)?),
             None => None,
         };
-        let listener = match &cfg.listen {
+        let listener = match listen {
             Listen::Tcp(addr) => {
                 let l = TcpListener::bind(addr.as_str())?;
                 l.set_nonblocking(true)?;
@@ -292,10 +311,12 @@ impl Server {
                 jobs_running: AtomicUsize::new(0),
                 ema_wall_ms: AtomicU64::new(0),
                 cache,
-                queue_cap: cfg.queue_cap.max(1),
-                insts_cap: cfg.insts_cap.max(1),
-                threads: cfg.threads.max(1),
-                progress_stride: cfg.progress_stride,
+                rc: RunConfig {
+                    threads: rc.threads.max(1),
+                    serve_queue: rc.serve_queue.max(1),
+                    serve_insts_cap: rc.serve_insts_cap.max(1),
+                    ..rc
+                },
             }),
         })
     }
@@ -320,7 +341,7 @@ impl Server {
     /// Runs the daemon until drained. Blocks the calling thread.
     pub fn run(self) {
         let shared = self.shared;
-        let workers: Vec<_> = (0..shared.threads)
+        let workers: Vec<_> = (0..shared.rc.threads)
             .map(|i| {
                 let sh = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -408,9 +429,9 @@ fn connection_loop(shared: &Arc<Shared>, conn_id: u64, reader: Conn, mut writer:
         let _ = tx.send(line);
     };
     send(protocol::ev_hello(
-        shared.threads,
-        shared.queue_cap,
-        shared.insts_cap,
+        shared.rc.threads,
+        shared.rc.serve_queue,
+        shared.rc.serve_insts_cap,
     ));
 
     let mut lines = BufReader::new(reader).lines();
@@ -423,9 +444,9 @@ fn connection_loop(shared: &Arc<Shared>, conn_id: u64, reader: Conn, mut writer:
         match protocol::parse_request(line) {
             Err(msg) => send(protocol::ev_rejected(None, E_PARSE, &msg, None, None)),
             Ok(Request::Hello) => send(protocol::ev_hello(
-                shared.threads,
-                shared.queue_cap,
-                shared.insts_cap,
+                shared.rc.threads,
+                shared.rc.serve_queue,
+                shared.rc.serve_insts_cap,
             )),
             Ok(Request::Ping) => send(protocol::ev_pong()),
             Ok(Request::Stats) => send(shared.stats_json()),
@@ -467,12 +488,12 @@ fn admit(shared: &Arc<Shared>, conn_id: u64, req: SubmitReq, tx: &mpsc::Sender<S
         ));
         return;
     }
-    let insts = req.insts.unwrap_or(crate::run_insts());
-    if insts == 0 || insts > shared.insts_cap {
+    let insts = req.insts.unwrap_or(shared.rc.insts);
+    if insts == 0 || insts > shared.rc.serve_insts_cap {
         send(protocol::ev_rejected(
             Some(id),
             E_INSTS,
-            &format!("insts {} outside 1..={}", insts, shared.insts_cap),
+            &format!("insts {} outside 1..={}", insts, shared.rc.serve_insts_cap),
             None,
             None,
         ));
@@ -554,7 +575,7 @@ fn admit(shared: &Arc<Shared>, conn_id: u64, req: SubmitReq, tx: &mpsc::Sender<S
         }
     }
     let mut q = shared.queue.lock().expect("queue mutex");
-    if q.total >= shared.queue_cap {
+    if q.total >= shared.rc.serve_queue {
         let retry = shared.ema_wall_ms.load(Ordering::Relaxed).max(50);
         drop(q);
         send(protocol::ev_rejected(
@@ -611,7 +632,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         let spec = workload_by_name(&job.workload).expect("admission checked the workload");
         let target_insts = super::exec::warmup_for(job.insts) + job.insts;
-        let stride = match shared.progress_stride {
+        let stride = match shared.rc.serve_progress {
             Some(s) => s,
             None => (job.insts / 4).max(1),
         };
@@ -628,12 +649,13 @@ fn worker_loop(shared: &Arc<Shared>) {
             ))
         };
         let outcome = execute_job(
-            &design,
-            CoreConfig::boom_4wide(),
-            &spec,
-            job.insts,
+            RunSpec {
+                progress,
+                ..shared
+                    .rc
+                    .run_spec(&design, CoreConfig::boom_4wide(), &spec, job.insts)
+            },
             shared.cache.as_ref(),
-            progress,
         );
         if shared.cache.is_none() {
             debug_assert_eq!(outcome.cache, CacheDisposition::Miss);

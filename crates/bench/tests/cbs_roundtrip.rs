@@ -7,7 +7,7 @@
 //! identity mismatch is rejected up front with a precise error, never
 //! discovered as silent measurement skew.
 
-use cobra_bench::{ckpt_file_name, run_one_sourced};
+use cobra_bench::{ckpt_file_name, run_one_sourced, RunConfig};
 use cobra_core::composer::Design;
 use cobra_core::designs;
 use cobra_uarch::{
@@ -95,8 +95,7 @@ fn restored_report_is_byte_identical_for_all_designs_and_profiles() {
 /// The harness-level path: with `COBRA_CKPT_DIR` pointing at a directory
 /// holding a matching checkpoint, `run_one_sourced` restores it (and says
 /// so in its provenance) and still reports byte-identically to the
-/// warm-up-from-scratch run. This is the only test in this binary that
-/// touches process environment, so it cannot race a parallel test.
+/// warm-up-from-scratch run.
 #[test]
 fn ckpt_dir_restore_matches_direct_end_to_end() {
     let design = designs::tage_l();
@@ -105,8 +104,11 @@ fn ckpt_dir_restore_matches_direct_end_to_end() {
 
     // The harness derives measure from COBRA_INSTS and warmup as 40 % of
     // it; the checkpoint must be taken at exactly that boundary.
-    std::env::set_var("COBRA_INSTS", MEASURE.to_string());
-    let direct = run_one_sourced(&design, cfg, &spec, None);
+    let rc = RunConfig {
+        insts: MEASURE,
+        ..RunConfig::default()
+    };
+    let direct = run_one_sourced(&rc, &design, cfg, &spec, None);
     assert_eq!(direct.checkpoint, None, "no checkpoint dir set yet");
 
     let dir = std::env::temp_dir().join(format!("cobra-cbs-e2e-{}", std::process::id()));
@@ -115,10 +117,11 @@ fn ckpt_dir_restore_matches_direct_end_to_end() {
     let bytes = checkpoint_bytes(&design, &cfg, &spec, WARMUP);
     std::fs::write(&path, bytes).expect("write checkpoint");
 
-    std::env::set_var("COBRA_CKPT_DIR", &dir);
-    let restored = run_one_sourced(&design, cfg, &spec, None);
-    std::env::remove_var("COBRA_CKPT_DIR");
-    std::env::remove_var("COBRA_INSTS");
+    let rc = RunConfig {
+        ckpt_dir: Some(dir.clone()),
+        ..rc
+    };
+    let restored = run_one_sourced(&rc, &design, cfg, &spec, None);
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(

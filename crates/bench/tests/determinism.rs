@@ -6,19 +6,21 @@
 //! same job order. This is the property that lets the harness binaries
 //! print byte-stable tables whatever the host's core count.
 
-use cobra_bench::runner::{run_grid_on, Job};
+use cobra_bench::runner::{run_grid, Job};
+use cobra_bench::RunConfig;
 use cobra_core::designs;
 use cobra_uarch::{CoreConfig, PerfReport};
 use cobra_workloads::{kernels, spec17};
 
-/// One test function on purpose: it pins `COBRA_INSTS` for the whole
-/// process, which would race against sibling tests reading the same
-/// variable.
 #[test]
 fn thread_count_does_not_change_reports() {
     // Keep the grid fast: the property under test is scheduling
     // independence, not simulator behavior at full run length.
-    std::env::set_var("COBRA_INSTS", "6000");
+    let on = |threads| RunConfig {
+        threads,
+        insts: 6000,
+        ..RunConfig::default()
+    };
 
     let d_tourn = designs::tournament();
     let d_tage = designs::tage_l();
@@ -33,11 +35,11 @@ fn thread_count_does_not_change_reports() {
         })
         .collect();
 
-    let serial: Vec<PerfReport> = run_grid_on(1, &jobs)
+    let serial: Vec<PerfReport> = run_grid(&on(1), &jobs)
         .into_iter()
         .map(|r| r.report)
         .collect();
-    let parallel: Vec<PerfReport> = run_grid_on(4, &jobs)
+    let parallel: Vec<PerfReport> = run_grid(&on(4), &jobs)
         .into_iter()
         .map(|r| r.report)
         .collect();

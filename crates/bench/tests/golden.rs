@@ -7,6 +7,10 @@
 //! checked-in JSONL fixtures, so any change that silently shifts simulated
 //! behaviour fails CI with a field-level diff instead of landing unnoticed.
 //!
+//! Every cell runs twice, through the compiled execution plan and through
+//! the reference interpreter (`force_plan(false)`), and both must match
+//! the same fixture.
+//!
 //! Wall-clock-dependent metrics (`wall_s`, MIPS) are deliberately absent
 //! from the fixtures; only architectural counters are gated.
 //!
@@ -33,15 +37,17 @@ fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/reports.jsonl")
 }
 
-/// Runs the golden grid and renders one JSONL record per cell, in a fixed
-/// order (workload-major, then design).
-fn current_reports() -> String {
+/// Runs the golden grid on the plan (`plan`) or interpreter packet path
+/// and renders one JSONL record per cell, in a fixed order
+/// (workload-major, then design).
+fn current_reports(plan: bool) -> String {
     let cfg = CoreConfig::boom_4wide();
     let mut out = String::new();
     for name in WORKLOADS {
         let spec = spec17::spec17(name);
         for design in designs::all() {
             let mut core = Core::new(&design, cfg, spec.build()).expect("stock designs compose");
+            core.bpu_mut().force_plan(plan);
             let report = core.run_with_warmup(WARMUP, MEASURE, &spec.name);
             let c = &report.counters;
             writeln!(
@@ -119,13 +125,14 @@ fn describe_drift(want: &str, got: &str) -> String {
     drift
 }
 
-/// The gate: the current run must match `tests/golden/reports.jsonl`
-/// exactly. Set `COBRA_GOLDEN_BLESS=1` to regenerate the fixture instead.
+/// The gate: the current run, on both packet paths, must match
+/// `tests/golden/reports.jsonl` exactly. Set `COBRA_GOLDEN_BLESS=1` to
+/// regenerate the fixture (from the plan path) instead.
 #[test]
 fn reports_match_golden_fixtures() {
-    let got = current_reports();
+    let got = current_reports(true);
     let path = fixture_path();
-    if std::env::var_os("COBRA_GOLDEN_BLESS").is_some() {
+    if cobra_core::env::gate("COBRA_GOLDEN_BLESS") {
         std::fs::write(&path, &got)
             .unwrap_or_else(|e| panic!("blessing {} failed: {e}", path.display()));
         eprintln!(
@@ -142,14 +149,16 @@ fn reports_match_golden_fixtures() {
             path.display()
         )
     });
-    assert!(
-        want == got,
-        "simulated behaviour drifted from the golden fixtures:\n{}\n\
-         If this change is intentional, re-bless with \
-         COBRA_GOLDEN_BLESS=1 cargo test -p cobra-bench --test golden \
-         and commit the fixture diff.",
-        describe_drift(&want, &got)
-    );
+    for (packet_path, got) in [("plan", got), ("interpreter", current_reports(false))] {
+        assert!(
+            want == got,
+            "simulated behaviour on the {packet_path} path drifted from the golden fixtures:\n{}\n\
+             If this change is intentional, re-bless with \
+             COBRA_GOLDEN_BLESS=1 cargo test -p cobra-bench --test golden \
+             and commit the fixture diff.",
+            describe_drift(&want, &got)
+        );
+    }
 }
 
 /// The fixture file itself must stay valid JSONL with the gated schema —

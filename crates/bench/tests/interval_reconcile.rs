@@ -283,8 +283,7 @@ fn unarmed_run_collects_nothing() {
     assert!(core.take_intervals().is_none());
 }
 
-/// `set_interval(0)` disables telemetry even if the environment would
-/// arm it — the in-process override wins.
+/// `set_interval(0)` leaves telemetry off: the run collects nothing.
 #[test]
 fn set_interval_zero_disables() {
     let cfg = CoreConfig::boom_4wide();

@@ -15,7 +15,7 @@ use cobra_bench::serve::client::Client;
 use cobra_bench::serve::exec::execute_job;
 use cobra_bench::serve::protocol::{self, JobTarget};
 use cobra_bench::serve::server::{DrainHandle, Listen, ServeConfig, Server};
-use cobra_bench::workload_by_name;
+use cobra_bench::{workload_by_name, RunSpec};
 use cobra_core::designs;
 use cobra_uarch::CoreConfig;
 
@@ -116,7 +116,10 @@ fn sweep(
 fn direct(design: &str, workload: &str, insts: u64) -> String {
     let design = designs::by_name(design).unwrap();
     let spec = workload_by_name(workload).unwrap();
-    let outcome = execute_job(&design, CoreConfig::boom_4wide(), &spec, insts, None, None);
+    let outcome = execute_job(
+        RunSpec::new(&design, CoreConfig::boom_4wide(), &spec, insts),
+        None,
+    );
     protocol::report_json(&outcome.report)
 }
 

@@ -14,7 +14,7 @@ use std::sync::atomic::Ordering;
 use cobra_bench::serve::cache::WarmCache;
 use cobra_bench::serve::exec::{execute_job, warmup_for, CacheDisposition};
 use cobra_bench::serve::protocol::report_json;
-use cobra_bench::workload_by_name;
+use cobra_bench::{workload_by_name, RunSpec};
 use cobra_core::composer::Design;
 use cobra_uarch::{config_hash, CbrMeta, CoreConfig};
 
@@ -46,12 +46,8 @@ fn run(cache: &WarmCache, insts: u64) -> (cobra_uarch::PerfReport, CacheDisposit
     let d = design();
     let spec = workload_by_name("gcc").unwrap();
     let o = execute_job(
-        &d,
-        CoreConfig::boom_4wide(),
-        &spec,
-        insts,
+        RunSpec::new(&d, CoreConfig::boom_4wide(), &spec, insts),
         Some(cache),
-        None,
     );
     (o.report, o.cache)
 }
@@ -86,7 +82,10 @@ fn tier2_partial_restore_is_byte_exact() {
     // …and must equal the straight-through run exactly.
     let d = design();
     let spec = workload_by_name("gcc").unwrap();
-    let direct = execute_job(&d, CoreConfig::boom_4wide(), &spec, INSTS * 3, None, None);
+    let direct = execute_job(
+        RunSpec::new(&d, CoreConfig::boom_4wide(), &spec, INSTS * 3),
+        None,
+    );
     assert_eq!(direct.cache, CacheDisposition::Miss);
     assert_eq!(warm, direct.report, "tier-2 restore vs straight-through");
     let _ = std::fs::remove_dir_all(&dir);
@@ -228,7 +227,10 @@ fn checkpoint_with_corrupt_header_is_counted_as_rejected() {
     );
     let d = design();
     let spec = workload_by_name("gcc").unwrap();
-    let direct = execute_job(&d, CoreConfig::boom_4wide(), &spec, INSTS * 3, None, None);
+    let direct = execute_job(
+        RunSpec::new(&d, CoreConfig::boom_4wide(), &spec, INSTS * 3),
+        None,
+    );
     assert_eq!(report_json(&report), report_json(&direct.report));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -242,7 +244,10 @@ fn oversized_identity_is_never_stored() {
     let cache = WarmCache::open(&dir).unwrap();
     let d = design();
     let spec = workload_by_name("gcc").unwrap();
-    let direct = execute_job(&d, CoreConfig::boom_4wide(), &spec, INSTS, None, None);
+    let direct = execute_job(
+        RunSpec::new(&d, CoreConfig::boom_4wide(), &spec, INSTS),
+        None,
+    );
     let mut meta = meta_for(&d, &CoreConfig::boom_4wide(), "gcc", INSTS);
     meta.topology = "B".repeat(4097);
     cache.store_result(&meta, &direct.report);
@@ -257,8 +262,14 @@ fn oversized_identity_is_never_stored() {
 fn disabled_cache_always_misses() {
     let d = design();
     let spec = workload_by_name("gcc").unwrap();
-    let a = execute_job(&d, CoreConfig::boom_4wide(), &spec, INSTS, None, None);
-    let b = execute_job(&d, CoreConfig::boom_4wide(), &spec, INSTS, None, None);
+    let a = execute_job(
+        RunSpec::new(&d, CoreConfig::boom_4wide(), &spec, INSTS),
+        None,
+    );
+    let b = execute_job(
+        RunSpec::new(&d, CoreConfig::boom_4wide(), &spec, INSTS),
+        None,
+    );
     assert_eq!(a.cache, CacheDisposition::Miss);
     assert_eq!(b.cache, CacheDisposition::Miss);
     assert_eq!(a.report, b.report, "determinism without a cache");

@@ -11,7 +11,8 @@
 //!    per-job trace must be identical whether the grid ran on 1 thread
 //!    or 4, same as the reports themselves.
 
-use cobra_bench::runner::{job_id, run_grid_on, Job};
+use cobra_bench::runner::{job_id, run_grid, Job};
+use cobra_bench::RunConfig;
 use cobra_core::designs;
 use cobra_core::obs::trace;
 use cobra_uarch::{CoreConfig, PerfReport};
@@ -19,19 +20,19 @@ use cobra_workloads::{kernels, spec17};
 use std::path::PathBuf;
 
 fn grid_reports(threads: usize, jobs: &[Job<'_>]) -> Vec<PerfReport> {
-    run_grid_on(threads, jobs)
-        .into_iter()
-        .map(|r| r.report)
-        .collect()
+    let rc = RunConfig {
+        threads,
+        insts: 6000,
+        ..RunConfig::default()
+    };
+    run_grid(&rc, jobs).into_iter().map(|r| r.report).collect()
 }
 
-/// One test function on purpose: it pins `COBRA_INSTS` and `COBRA_TRACE`
-/// for the whole process, which would race against sibling tests reading
-/// the same variables.
+/// One test function on purpose: `COBRA_TRACE` is a process-wide gate,
+/// so the test pins it for the whole process, which would race against
+/// sibling tests reading the same variable.
 #[test]
 fn tracing_is_deterministic_and_free_of_side_effects() {
-    std::env::set_var("COBRA_INSTS", "6000");
-
     let d_tourn = designs::tournament();
     let d_tage = designs::tage_l();
     let specs = [spec17::spec17("gcc"), kernels::aliasing_stress()];

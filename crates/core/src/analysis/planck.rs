@@ -20,7 +20,7 @@
 //! divergent stage.
 //!
 //! The verifier runs inside [`BranchPredictorUnit::build`] when
-//! `COBRA_VERIFY_PLAN` is set (CI sets it unconditionally), and on demand
+//! `COBRA_VERIFY_PLAN` is on (CI sets it unconditionally), and on demand
 //! via `cobra-lint --plan`.
 //!
 //! [`PredictorPipeline::compile`]: crate::composer::PredictorPipeline::compile
@@ -32,12 +32,11 @@ use super::model::DesignModel;
 use crate::composer::{ExecutionPlan, NodeFacts, PredictorPipeline};
 
 /// `true` when `COBRA_VERIFY_PLAN` asks for plan verification at build
-/// time (any value except `0` / `off`).
+/// time (an on/off switch, [`crate::env::parse_switch`]; off by default).
+/// Resolved once per process.
 pub fn verify_env_enabled() -> bool {
-    match std::env::var("COBRA_VERIFY_PLAN") {
-        Ok(v) => !matches!(v.as_str(), "0" | "off"),
-        Err(_) => false,
-    }
+    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ON.get_or_init(|| crate::env::gate("COBRA_VERIFY_PLAN"))
 }
 
 /// Statically cross-checks `pipeline`'s lowered plan against its own node

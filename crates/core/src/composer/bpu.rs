@@ -1032,20 +1032,14 @@ impl BranchPredictorUnit {
         self.pipeline.reset_to_baseline()
     }
 
-    /// Overrides the `COBRA_PLAN` gate in-process: `true` forces the
-    /// compiled-plan packet path, `false` the reference interpreter.
+    /// Selects the packet path: `true` (the default) the compiled plan,
+    /// `false` the reference interpreter.
     pub fn force_plan(&mut self, enabled: bool) {
         self.pipeline.force_plan(enabled);
     }
 
-    /// Whether the compiled execution plan drives the packet path.
-    pub fn plan_enabled(&self) -> bool {
-        self.pipeline.plan_enabled()
-    }
-
-    /// Test hook: arms or disarms the pipeline's per-node self-profiler
-    /// in-process, independent of the `COBRA_PROFILE` gate.
-    #[doc(hidden)]
+    /// Arms or disarms the pipeline's per-node self-profiler (off by
+    /// default).
     pub fn force_profiler(&mut self, enabled: bool) {
         self.pipeline.force_profiler(enabled);
     }

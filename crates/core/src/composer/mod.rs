@@ -12,8 +12,8 @@
 //!   of component responses with pass-through and override semantics;
 //! * [`ComponentKind`] / [`ExecutionPlan`] — the devirtualized packet
 //!   path: enum dispatch over the stock components plus precomputed
-//!   per-stage fold schedules (`COBRA_PLAN=off` selects the reference
-//!   interpreter);
+//!   per-stage fold schedules (`force_plan(false)`, the harness's
+//!   `COBRA_PLAN=off`, selects the reference interpreter);
 //! * [`HistoryFile`] — the circular buffer tracking in-flight predictions,
 //!   their history snapshots and per-component metadata;
 //! * [`GlobalHistoryProvider`] / [`LocalHistoryProvider`] — speculatively
@@ -35,9 +35,7 @@ pub use bpu::{
 };
 pub use history_file::{HistoryFile, HistoryFileEntry};
 pub(crate) use pipeline::NodeFacts;
-pub use pipeline::{
-    plan_env_enabled, PacketPrediction, PredictorPipeline, StageDescription, MAX_DEPTH,
-};
+pub use pipeline::{PacketPrediction, PredictorPipeline, StageDescription, MAX_DEPTH};
 pub use plan::{ComponentKind, ExecutionPlan};
 pub use providers::{GlobalHistoryProvider, LocalHistoryProvider, PathHistoryProvider};
 pub use registry::{ComponentRegistry, Design};

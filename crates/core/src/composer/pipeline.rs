@@ -57,28 +57,18 @@ pub struct PredictorPipeline {
     width: u8,
     plan: ExecutionPlan,
     scratch: PlanScratch,
-    /// Plan path enabled (read from `COBRA_PLAN` at compile time;
-    /// [`force_plan`](Self::force_plan) overrides in-process).
+    /// Plan path enabled (the default; [`force_plan`](Self::force_plan)
+    /// selects the interpreter).
     plan_enabled: bool,
     /// Per-node fast-reset fallbacks: `None` once a node armed its own
     /// baseline, `Some(bytes)` holding the node's full serialized state
     /// otherwise. Empty when unarmed.
     node_baselines: Vec<Option<Vec<u8>>>,
-    /// Hot-path self-profiler (`COBRA_PROFILE`): samples per-node predict
-    /// and compose wall time on the plan path, 1 packet in 16. Renders its
-    /// table to stderr on drop. `None` (the default) costs the packet path
-    /// a single pointer-null check.
+    /// Hot-path self-profiler ([`force_profiler`](Self::force_profiler)):
+    /// samples per-node predict and compose wall time on the plan path,
+    /// 1 packet in 16. Renders its table to stderr on drop. `None` (the
+    /// default) costs the packet path a single pointer-null check.
     profiler: Option<Box<NodeProfiler>>,
-}
-
-/// `true` unless `COBRA_PLAN` is `off` / `0` / `interpreter`. Read at
-/// pipeline build time (not cached globally) so tests can flip the
-/// variable between runs.
-pub fn plan_env_enabled() -> bool {
-    !matches!(
-        std::env::var("COBRA_PLAN").as_deref(),
-        Ok("off") | Ok("0") | Ok("interpreter")
-    )
 }
 
 /// The full per-packet output of the pipeline: each node's raw response and
@@ -159,11 +149,6 @@ impl PredictorPipeline {
         let plan = ExecutionPlan::lower(nodes.len(), depth, latencies, &custom, |i| {
             nodes[i].inputs.clone()
         });
-        let profiler = crate::obs::interval::profile_enabled().then(|| {
-            Box::new(NodeProfiler::new(
-                nodes.iter().map(|n| n.label.clone()).collect(),
-            ))
-        });
         Ok(Self {
             nodes,
             final_node,
@@ -171,9 +156,9 @@ impl PredictorPipeline {
             width,
             plan,
             scratch: PlanScratch::default(),
-            plan_enabled: plan_env_enabled(),
+            plan_enabled: true,
             node_baselines: Vec::new(),
-            profiler,
+            profiler: None,
         })
     }
 
@@ -274,22 +259,15 @@ impl PredictorPipeline {
         &self.plan
     }
 
-    /// `true` when packets take the plan path (vs. the reference
-    /// interpreter fold).
-    pub fn plan_enabled(&self) -> bool {
-        self.plan_enabled
-    }
-
-    /// Overrides the `COBRA_PLAN` selection made at compile time — used by
-    /// in-process differential tests and benches to flip paths without
-    /// touching the environment.
+    /// Selects the packet path: `true` (the default) the compiled plan,
+    /// `false` the reference interpreter. The harness applies `COBRA_PLAN`
+    /// through this.
     pub fn force_plan(&mut self, enabled: bool) {
         self.plan_enabled = enabled;
     }
 
-    /// Test hook: arms (or disarms) the per-node self-profiler in-process,
-    /// independent of the `COBRA_PROFILE` gate read at compile time.
-    #[doc(hidden)]
+    /// Arms (or disarms) the per-node self-profiler; off by default. The
+    /// harness applies `COBRA_PROFILE` through this.
     pub fn force_profiler(&mut self, on: bool) {
         self.profiler = on.then(|| {
             Box::new(NodeProfiler::new(

@@ -20,7 +20,7 @@
 //!   output byte-for-byte.
 //!
 //! The plan is a pure scheduling artifact: it never changes *what* is
-//! computed, only *when*, and `COBRA_PLAN=off` re-enables the interpreter
+//! computed, only *when*, and `force_plan(false)` re-enables the interpreter
 //! for differential checking (`crates/bench/tests/plan_identity.rs`).
 
 use crate::components::{

@@ -49,6 +49,7 @@ pub mod analysis;
 pub mod components;
 pub mod composer;
 pub mod designs;
+pub mod env;
 mod error;
 mod iface;
 pub mod obs;

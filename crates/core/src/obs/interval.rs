@@ -2,8 +2,9 @@
 //! signatures, and a hot-path self-profiler.
 //!
 //! Every end-of-run number COBRA reports is an aggregate; this module
-//! adds the time axis. When `COBRA_INTERVAL=<n>` is set, the host core
-//! closes a telemetry interval every `n` committed instructions and
+//! adds the time axis. Armed with an interval length `n`
+//! (`Core::set_interval`; the harness's `COBRA_INTERVAL=<n>`), the host
+//! core closes a telemetry interval every `n` committed instructions and
 //! records, for each interval:
 //!
 //! * the host counter delta ([`HostCounters`]) — cycles, commits,
@@ -24,16 +25,14 @@
 //! [`AttributionReport`] — the same delta machinery `run_with_warmup`
 //! uses, applied at a finer grain.
 //!
-//! Independently, `COBRA_PROFILE=1` arms a *self-profiler*
-//! ([`NodeProfiler`]) on the compiled execution plan: every 16th
-//! predict packet, per-node wall time is sampled around the query and
-//! compose steps, and a summary table is printed to stderr when the
-//! pipeline is dropped. Neither facility writes to stdout, and both
-//! resolve to a single relaxed atomic load when off — the same
-//! once-resolved gating as [`trace`](super::trace).
+//! Independently, `force_profiler(true)` (the harness's `COBRA_PROFILE=1`)
+//! arms a *self-profiler* ([`NodeProfiler`]) on the compiled execution
+//! plan: every 16th predict packet, per-node wall time is sampled around
+//! the query and compose steps, and a summary table is printed to stderr
+//! when the pipeline is dropped. Neither facility writes to stdout, and
+//! both cost a single pointer-null check when off.
 
 use super::AttributionReport;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
 
 /// Number of buckets in a phase-signature vector.
@@ -43,83 +42,6 @@ use std::time::Instant;
 /// hash spreads PCs uniformly, so collisions cost resolution, not
 /// correctness.
 pub const SIG_BUCKETS: usize = 64;
-
-const IV_UNRESOLVED: u64 = u64::MAX;
-
-/// Once-resolved `COBRA_INTERVAL` value; 0 = off.
-static INTERVAL_N: AtomicU64 = AtomicU64::new(IV_UNRESOLVED);
-
-const UNRESOLVED: u8 = 0;
-const OFF: u8 = 1;
-const ON: u8 = 2;
-
-/// Once-resolved `COBRA_PROFILE` gate.
-static PROFILE: AtomicU8 = AtomicU8::new(UNRESOLVED);
-
-/// The interval length in committed instructions, or `None` when
-/// interval telemetry is off.
-///
-/// Resolved once from `COBRA_INTERVAL` (a positive integer; `_`
-/// separators allowed) on first call; afterwards a single relaxed
-/// load. An unparsable value warns once on stderr and disables the
-/// engine rather than corrupting a long run.
-#[inline]
-pub fn interval_n() -> Option<u64> {
-    match INTERVAL_N.load(Ordering::Relaxed) {
-        IV_UNRESOLVED => resolve_interval(),
-        0 => None,
-        n => Some(n),
-    }
-}
-
-#[cold]
-fn resolve_interval() -> Option<u64> {
-    let parsed = match std::env::var("COBRA_INTERVAL") {
-        Ok(v) if !v.is_empty() => match v.replace('_', "").parse::<u64>() {
-            Ok(n) if n > 0 && n < IV_UNRESOLVED => Some(n),
-            _ => {
-                eprintln!("cobra: COBRA_INTERVAL={v}: not a positive integer; telemetry off");
-                None
-            }
-        },
-        _ => None,
-    };
-    INTERVAL_N.store(parsed.unwrap_or(0), Ordering::Relaxed);
-    parsed
-}
-
-/// Forces the interval length on or off, overriding the environment.
-/// Test hook — [`interval_n`] caches its answer, so tests that flip
-/// `COBRA_INTERVAL` after the first check must call this.
-pub fn set_interval_n(n: Option<u64>) {
-    INTERVAL_N.store(n.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// Whether the plan-node self-profiler is armed for this process
-/// (`COBRA_PROFILE` set, non-empty, and not `0`).
-#[inline]
-pub fn profile_enabled() -> bool {
-    match PROFILE.load(Ordering::Relaxed) {
-        ON => true,
-        OFF => false,
-        _ => resolve_profile(),
-    }
-}
-
-#[cold]
-fn resolve_profile() -> bool {
-    let on = std::env::var("COBRA_PROFILE")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    PROFILE.store(if on { ON } else { OFF }, Ordering::Relaxed);
-    on
-}
-
-/// Forces the self-profiler gate, overriding the environment (test
-/// hook, same caching caveat as [`set_interval_n`]).
-pub fn set_profile_enabled(on: bool) {
-    PROFILE.store(if on { ON } else { OFF }, Ordering::Relaxed);
-}
 
 /// The signature bucket for a branch PC.
 ///
@@ -420,7 +342,8 @@ impl IntervalEngine {
     }
 }
 
-/// Per-plan-node wall-time self-profiler (`COBRA_PROFILE`).
+/// Per-plan-node wall-time self-profiler (armed by `force_profiler`;
+/// the harness's `COBRA_PROFILE`).
 ///
 /// Sampling, not tracing: every [`SAMPLE_EVERY`](Self::SAMPLE_EVERY)-th
 /// predict packet, the pipeline wraps each node's query and compose
@@ -650,17 +573,5 @@ mod tests {
     fn profiler_renders_nothing_unsampled() {
         let p = NodeProfiler::new(vec!["A".into()]);
         assert!(p.render().is_none());
-    }
-
-    #[test]
-    fn interval_env_hook_overrides() {
-        set_interval_n(Some(123));
-        assert_eq!(interval_n(), Some(123));
-        set_interval_n(None);
-        assert_eq!(interval_n(), None);
-        set_profile_enabled(true);
-        assert!(profile_enabled());
-        set_profile_enabled(false);
-        assert!(!profile_enabled());
     }
 }

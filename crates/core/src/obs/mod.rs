@@ -18,9 +18,9 @@
 //! * **Event tracing** ([`trace`]): an opt-in structured per-event stream
 //!   (JSONL or Chrome `trace_event`), zero-cost when off.
 //! * **Interval telemetry** ([`interval`]): time-resolved per-component
-//!   deltas, occupancy gauges, and phase signatures every `COBRA_INTERVAL`
-//!   committed instructions, plus the `COBRA_PROFILE` plan-node
-//!   self-profiler — both off by default and stdout-invisible when on.
+//!   deltas, occupancy gauges, and phase signatures every `n` committed
+//!   instructions (`COBRA_INTERVAL`), plus the plan-node self-profiler
+//!   (`COBRA_PROFILE`) — both off by default and stdout-invisible when on.
 //!
 //! Attribution is *operational*: at the final pipeline stage, each
 //! predicted field of each slot is traced back through the composition to

@@ -66,9 +66,9 @@ pub fn set_enabled(on: bool) {
     STATE.store(if on { ON } else { OFF }, Ordering::Relaxed);
 }
 
-/// The raw `COBRA_TRACE` path template, if set and non-empty.
+/// The `COBRA_TRACE` path template, if set and non-empty.
 pub fn template() -> Option<String> {
-    std::env::var("COBRA_TRACE").ok().filter(|v| !v.is_empty())
+    crate::env::var("COBRA_TRACE")
 }
 
 /// Trace output encodings.

@@ -16,7 +16,8 @@
 //!   (checked in the unit's accept path).
 //!
 //! Enablement is resolved once, from either the `sanitize` cargo feature
-//! or the `COBRA_SANITIZE` environment variable (`1`/`true`/`on`), and
+//! or the `COBRA_SANITIZE` environment variable (an on/off switch,
+//! [`crate::env::parse_switch`]), and
 //! cached in an atomic — with the sanitizer off, each hook site costs one
 //! relaxed load and a branch, keeping the hot path intact. Tests flip it
 //! deterministically with [`set_enabled`].
@@ -48,10 +49,9 @@ pub fn enabled() -> bool {
 
 #[cold]
 fn resolve() -> bool {
-    let on = cfg!(feature = "sanitize")
-        || std::env::var("COBRA_SANITIZE")
-            .map(|v| matches!(v.trim(), "1" | "true" | "on" | "TRUE" | "ON"))
-            .unwrap_or(false);
+    // Racing first calls from several threads read the variable once.
+    static ENV: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    let on = cfg!(feature = "sanitize") || *ENV.get_or_init(|| crate::env::gate("COBRA_SANITIZE"));
     STATE.store(if on { ON } else { OFF }, Ordering::Relaxed);
     on
 }

@@ -20,9 +20,7 @@ use crate::perf::{PerfCounters, PerfReport};
 use crate::program::{CfiOutcome, DynInst, InstructionStream, Op, StaticInst};
 use crate::ras::{RasSnapshot, ReturnAddressStack};
 use cobra_core::composer::{BranchPredictorUnit, Design, GhistRepairMode, PacketId};
-use cobra_core::obs::interval::{
-    interval_n, HostCounters, IntervalEngine, IntervalGauges, IntervalSeries,
-};
+use cobra_core::obs::interval::{HostCounters, IntervalEngine, IntervalGauges, IntervalSeries};
 use cobra_core::{
     BranchKind, ComposeError, PredictionBundle, SlotResolution, MAX_FETCH_WIDTH, SLOT_BYTES,
 };
@@ -317,8 +315,9 @@ pub struct Core<S> {
     /// [`run_with_warmup`](Self::run_with_warmup). Boxed so the off case
     /// costs the run loop a single pointer-null check.
     interval: Option<Box<IntervalEngine>>,
-    /// Programmatic interval-length request; wins over `COBRA_INTERVAL`.
-    interval_request: Option<u64>,
+    /// Interval length for the next measured run; `0` leaves telemetry
+    /// off.
+    interval_n: u64,
     /// The finished series of the last measured run.
     interval_series: Option<IntervalSeries>,
     /// Progress heartbeat: `(every_insts, next_threshold, callback)`,
@@ -378,7 +377,7 @@ impl<S: InstructionStream> Core<S> {
             uop_scratch: Vec::new(),
             host_baseline: None,
             interval: None,
-            interval_request: None,
+            interval_n: 0,
             interval_series: None,
             progress: None,
             cfg,
@@ -418,10 +417,10 @@ impl<S: InstructionStream> Core<S> {
     }
 
     /// Requests interval telemetry with `n` committed instructions per
-    /// interval for the next [`run_with_warmup`](Self::run_with_warmup),
-    /// overriding the `COBRA_INTERVAL` environment gate (`0` disables).
+    /// interval for the next [`run_with_warmup`](Self::run_with_warmup)
+    /// (`0`, the default, disables).
     pub fn set_interval(&mut self, n: u64) {
-        self.interval_request = Some(n);
+        self.interval_n = n;
     }
 
     /// Takes the interval series collected by the last
@@ -602,10 +601,9 @@ impl<S: InstructionStream> Core<S> {
         self.run(warmup, workload_name);
         let baseline = self.counters;
         let baseline_attr = self.bpu.attribution_report();
-        let n = self.interval_request.or_else(interval_n).filter(|&n| n > 0);
-        if let Some(n) = n {
+        if self.interval_n > 0 {
             self.interval = Some(Box::new(IntervalEngine::new(
-                n,
+                self.interval_n,
                 self.host_snapshot(),
                 baseline_attr.clone(),
             )));

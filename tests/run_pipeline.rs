@@ -86,12 +86,12 @@ fn five_run_paths_report_the_same_bytes_with_their_provenance() {
     let cache = WarmCache::open(&dir.join("cache")).expect("cache");
     let boundary = CbsMeta::for_run(&design, &cfg, &spec.name, warmup);
     std::fs::copy(&ckpt, cache.checkpoint_path(&boundary)).expect("seed tier 2");
-    let warm = execute_job(&design, cfg, &spec, MEASURE, Some(&cache), None);
+    let warm = execute_job(RunSpec::new(&design, cfg, &spec, MEASURE), Some(&cache));
     assert_eq!(warm.cache, CacheDisposition::Warm);
     assert_eq!(report_json(&warm.report), want, "tier-2 resume");
 
     // 5. Serve tier 1: the warm job stored its result.
-    let hit = execute_job(&design, cfg, &spec, MEASURE, Some(&cache), None);
+    let hit = execute_job(RunSpec::new(&design, cfg, &spec, MEASURE), Some(&cache));
     assert_eq!(hit.cache, CacheDisposition::Hit);
     assert_eq!(report_json(&hit.report), want, "tier-1 hit");
 
